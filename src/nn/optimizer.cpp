@@ -48,15 +48,17 @@ Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
   MLCR_CHECK(lr_ > 0.0F);
   MLCR_CHECK(beta1_ >= 0.0F && beta1_ < 1.0F);
   MLCR_CHECK(beta2_ >= 0.0F && beta2_ < 1.0F);
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    m_.push_back(Tensor::zeros(p->value.rows(), p->value.cols()));
-    v_.push_back(Tensor::zeros(p->value.rows(), p->value.cols()));
-  }
 }
 
 void Adam::step() {
+  if (t_ == 0) {
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
+    for (Parameter* p : params_) {
+      m_.push_back(Tensor::zeros(p->value.rows(), p->value.cols()));
+      v_.push_back(Tensor::zeros(p->value.rows(), p->value.cols()));
+    }
+  }
   ++t_;
   const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));

@@ -51,6 +51,8 @@ class Adam final : public Optimizer {
  private:
   float lr_, beta1_, beta2_, epsilon_;
   std::size_t t_ = 0;
+  /// First and second moments, allocated by the first step(): an optimizer
+  /// whose network only infers holds no copies of the weights' shape.
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
 };

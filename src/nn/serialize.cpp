@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -60,7 +61,8 @@ void load_parameters(Module& module, std::istream& is) {
   MLCR_CHECK_MSG(count == params.size(),
                  "parameter count mismatch: file has "
                      << count << ", module has " << params.size());
-  for (Parameter* p : params) {
+  for (std::size_t index = 0; index < params.size(); ++index) {
+    Parameter* p = params[index];
     const std::uint64_t name_len = read_u64(is);
     MLCR_CHECK_MSG(name_len <= kMaxNameLen,
                    "implausible parameter-name length "
@@ -78,6 +80,14 @@ void load_parameters(Module& module, std::istream& is) {
     is.read(reinterpret_cast<char*>(p->value.data()),
             static_cast<std::streamsize>(p->value.size() * sizeof(float)));
     MLCR_CHECK_MSG(is.good(), "truncated parameter file at " << name);
+    // A flipped exponent bit reads as inf or NaN. NaN compares false with
+    // everything, so the masked argmax would quietly pick the first allowed
+    // action; and the GEMM kernels assume finite inputs (DESIGN.md).
+    for (std::size_t i = 0; i < p->value.size(); ++i)
+      MLCR_CHECK_MSG(std::isfinite(p->value.data()[i]),
+                     "non-finite value " << p->value.data()[i]
+                                         << " in parameter #" << index << " '"
+                                         << name << "' at element " << i);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -108,56 +109,143 @@ float Tensor::squared_norm() const noexcept {
   return s;
 }
 
+namespace {
+
+// The one GEMM kernel behind matmul, matmul_tn and matmul_nt. Every output
+// element is the same sum the textbook loop forms,
+//   c_ij = ((0 + a_i0 * b_0j) + a_i1 * b_1j) + ...,  k ascending,
+// with a rounded multiply and a rounded add per term (this library is built
+// with -ffp-contract=off, so no FMA). Only independent outputs share a
+// vector: 16 adjacent columns j per lane group, and a block of up to 4 rows
+// whose accumulators stay in registers. No reduction is ever reordered, so
+// results are bit-identical on every ISA the loader may pick.
+using Lanes = float __attribute__((vector_size(64)));
+constexpr std::size_t kLanes = 16;
+constexpr std::size_t kRowBlock = 4;
+constexpr std::size_t kMaxVecs = 3;  // 4 x 3 accumulators fit 32 zmm
+
+/// c[0:R, 0:cols) = a[0:R, 0:k) . b[0:k, 0:V * kLanes), a's rows k apart.
+/// b's rows hold V full lane groups (zero-padded past the matrix); only
+/// `cols` columns are stored.
+template <std::size_t R, std::size_t V>
+[[gnu::always_inline]] inline void gemm_block(const float* a, const float* b,
+                                              std::size_t ldb, float* c,
+                                              std::size_t ldc, std::size_t k,
+                                              std::size_t cols) {
+  // The R x V loops are fully unrolled at -O2 too (the default build type),
+  // so every accumulator stays in a register.
+  Lanes acc[R][V] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    Lanes bv[V];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v)
+      __builtin_memcpy(&bv[v], b + p * ldb + v * kLanes, sizeof(Lanes));
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const float ar = a[r * k + p];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v) {
+      const std::size_t from = v * kLanes;
+      const std::size_t n = std::min(kLanes, cols - from);
+      __builtin_memcpy(c + r * ldc + from, &acc[r][v], n * sizeof(float));
+    }
+  }
+}
+
+template <std::size_t R>
+[[gnu::always_inline]] inline void gemm_rows(std::size_t vecs, const float* a,
+                                             const float* b, std::size_t ldb,
+                                             float* c, std::size_t ldc,
+                                             std::size_t k, std::size_t cols) {
+  switch (vecs) {
+    case 1: gemm_block<R, 1>(a, b, ldb, c, ldc, k, cols); break;
+    case 2: gemm_block<R, 2>(a, b, ldb, c, ldc, k, cols); break;
+    default: gemm_block<R, kMaxVecs>(a, b, ldb, c, ldc, k, cols); break;
+  }
+}
+
+// The loader's ifunc resolver picks the widest clone of gemm() the CPU
+// runs. ThreadSanitizer instruments that resolver, which runs before the
+// TSan runtime is up and crashes, so a TSan build keeps only the portable
+// clone (which gives the same bits as the others).
+#if defined(__SANITIZE_THREAD__)
+#define MLCR_GEMM_CLONES
+#else
+#define MLCR_GEMM_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+
+/// c (m x n) = a (m x k) . b (k x n), a and c dense row-major. Every row of
+/// b (leading dimension ldb) must be readable, zero-padded, up to the next
+/// multiple of kLanes columns.
+MLCR_GEMM_CLONES void gemm(
+    const float* a, const float* b, std::size_t ldb, float* c, std::size_t m,
+    std::size_t k, std::size_t n) {
+  for (std::size_t j = 0; j < n; j += kMaxVecs * kLanes) {
+    const std::size_t cols = std::min(n - j, kMaxVecs * kLanes);
+    const std::size_t vecs = (cols + kLanes - 1) / kLanes;
+    for (std::size_t i = 0; i < m; i += kRowBlock) {
+      const float* ai = a + i * k;
+      float* ci = c + i * n + j;
+      switch (std::min(m - i, kRowBlock)) {
+        case 1: gemm_rows<1>(vecs, ai, b + j, ldb, ci, n, k, cols); break;
+        case 2: gemm_rows<2>(vecs, ai, b + j, ldb, ci, n, k, cols); break;
+        case 3: gemm_rows<3>(vecs, ai, b + j, ldb, ci, n, k, cols); break;
+        default:
+          gemm_rows<kRowBlock>(vecs, ai, b + j, ldb, ci, n, k, cols);
+          break;
+      }
+    }
+  }
+}
+
+/// a . op(b), op(b) = b or b^T. op(b) goes to gemm() in place when it is b
+/// and its rows are whole lane groups, and through a zero-padded copy
+/// otherwise.
+Tensor product(const Tensor& a, const Tensor& b, bool transpose_b) {
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = transpose_b ? b.rows() : b.cols();
+  Tensor out(m, n);
+  if (!transpose_b && n % kLanes == 0) {
+    gemm(a.data(), b.data(), n, out.data(), m, k, n);
+    return out;
+  }
+  const std::size_t ld = (n + kLanes - 1) / kLanes * kLanes;
+  std::vector<float> panel(k * ld, 0.0F);
+  for (std::size_t r = 0; r < b.rows(); ++r) {
+    const float* in = b.row(r);
+    for (std::size_t c = 0; c < b.cols(); ++c)
+      panel[transpose_b ? c * ld + r : r * ld + c] = in[c];
+  }
+  gemm(a.data(), panel.data(), ld, out.data(), m, k, n);
+  return out;
+}
+
+}  // namespace
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   MLCR_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch: "
                                            << a.rows() << "x" << a.cols()
                                            << " . " << b.rows() << "x"
                                            << b.cols());
-  Tensor out(a.rows(), b.cols());
-  // i-k-j loop order: unit-stride access on b and out.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0F) continue;
-      const float* brow = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
+  return product(a, b, /*transpose_b=*/false);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   MLCR_CHECK_MSG(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  Tensor out(a.cols(), b.cols());
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const float* arow = a.row(k);
-    const float* brow = b.row(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0F) continue;
-      float* orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
+  return product(a.transposed(), b, /*transpose_b=*/false);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   MLCR_CHECK_MSG(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  Tensor out(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const float* brow = b.row(j);
-      float dot = 0.0F;
-      for (std::size_t k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-      orow[j] = dot;
-    }
-  }
-  return out;
+  return product(a, b, /*transpose_b=*/true);
 }
 
 Tensor softmax_rows(const Tensor& logits) {

@@ -1,8 +1,11 @@
 // Minimal dense 2-D float tensor with the operations the policy network
 // needs. Row-major, value semantics. This is deliberately small: the DQN in
 // this repo processes one token matrix (tokens x features) at a time, and the
-// matrices are tiny (tens of rows, ~64-128 columns), so a straightforward
-// cache-friendly triple loop outperforms anything fancier at this size.
+// matrices are tiny (tens of rows, ~48-96 columns). Even so, the matrix
+// products are nearly all of a forward pass, and a scalar triple loop leaves
+// most of the CPU's vector width unused: the three products share one
+// vectorised kernel (tensor.cpp; contract in DESIGN.md §15) that returns the
+// triple loop's results bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +87,10 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// out = a * b; shapes (m x k) . (k x n) -> (m x n).
+/// out = a * b; shapes (m x k) . (k x n) -> (m x n). Each element is
+/// ((0 + a_i0 * b_0j) + a_i1 * b_1j) + ..., k ascending, with a separately
+/// rounded multiply and add; matmul_tn and matmul_nt sum in the same order.
+/// Inputs must be finite (DESIGN.md §15).
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 /// out = a^T * b; shapes (k x m) . (k x n) -> (m x n).
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);

@@ -11,11 +11,8 @@ namespace mlcr::rl {
 DqnAgent::DqnAgent(DqnConfig config, util::Rng init_rng)
     : config_(config),
       online_(config.network, init_rng),
-      target_(config.network, init_rng),
       optimizer_(online_.parameters(), config.learning_rate),
-      replay_(config.replay_capacity) {
-  nn::copy_parameters(online_, target_);
-}
+      replay_(config.replay_capacity) {}
 
 std::size_t DqnAgent::select_action(const nn::Tensor& state,
                                     const ActionMask& mask, float epsilon,
@@ -70,6 +67,14 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
 
   const auto batch = replay_.sample(config_.batch_size, rng);
   online_.zero_grad();
+  if (!target_) {
+    // First train step since construction, load or restore: the target
+    // starts as a copy of the online network, as a hard sync would leave it.
+    // Its own initial weights are overwritten, so any seed will do.
+    util::Rng unused(0);
+    target_ = std::make_unique<QNetwork>(config_.network, unused);
+    nn::copy_parameters(online_, *target_);
+  }
 
   // Bootstrap targets, batched: one forward pass per network over all
   // non-terminal next states instead of one per transition. Pure inference
@@ -89,7 +94,7 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
   }
   if (!next_states.empty()) {
     const std::vector<nn::Tensor> q_target_next =
-        target_.forward_batch(next_states);
+        target_->forward_batch(next_states);
     if (config_.double_dqn) {
       const std::vector<nn::Tensor> q_online_next =
           online_.forward_batch(next_states);
@@ -139,7 +144,7 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
 
   ++train_steps_;
   const bool synced = train_steps_ % config_.target_sync_every == 0;
-  if (synced) nn::copy_parameters(online_, target_);
+  if (synced) nn::copy_parameters(online_, *target_);
 
   const float mean_loss = total_loss * inv_batch;
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -163,7 +168,7 @@ void DqnAgent::save(const std::string& path) {
 
 void DqnAgent::load(const std::string& path) {
   nn::load_parameters(online_, path);
-  nn::copy_parameters(online_, target_);
+  target_.reset();
 }
 
 std::vector<nn::Tensor> DqnAgent::snapshot_weights() {
@@ -180,7 +185,7 @@ void DqnAgent::restore_weights(const std::vector<nn::Tensor>& weights) {
     MLCR_CHECK(weights[i].same_shape(params[i]->value));
     params[i]->value = weights[i];
   }
-  nn::copy_parameters(online_, target_);
+  target_.reset();
 }
 
 }  // namespace mlcr::rl

@@ -84,14 +84,19 @@ class DqnAgent {
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Snapshot / restore the online network's weights (used by the trainer's
-  /// validation-based checkpoint selection). restore also syncs the target.
+  /// validation-based checkpoint selection). After a restore, the next
+  /// train_step() re-copies the target from the restored weights.
   [[nodiscard]] std::vector<nn::Tensor> snapshot_weights();
   void restore_weights(const std::vector<nn::Tensor>& weights);
 
  private:
   DqnConfig config_;
   QNetwork online_;
-  QNetwork target_;
+  /// Target network, created on the first train_step() as a copy of
+  /// online_. load() and restore_weights() drop it, so the next
+  /// train_step() starts from a target synced to the new weights. An agent
+  /// that only infers never holds a second copy of the weights.
+  std::unique_ptr<QNetwork> target_;
   nn::Adam optimizer_;
   ReplayBuffer replay_;
   std::size_t train_steps_ = 0;

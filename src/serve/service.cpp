@@ -396,26 +396,36 @@ SchedulerService::RouteOutcome SchedulerService::pick_target(
 }
 
 std::optional<std::size_t> SchedulerService::serve_one(const Request& req) {
-  const RouteOutcome route = pick_target(req.inv);
-  if (route.lost) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
-    return std::nullopt;
+  bool counted_reroute = false;
+  for (;;) {
+    const RouteOutcome route = pick_target(req.inv);
+    if (route.lost) {
+      lost_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
+      return std::nullopt;
+    }
+    if (route.rerouted && !counted_reroute) {
+      rerouted_.fetch_add(1, std::memory_order_relaxed);
+      counted_reroute = true;
+    }
+    if (telemetry_ != nullptr)
+      telemetry_->on_route(req.inv, route.node, route.rerouted,
+                           clock_.now_s());
+    if (dispatch_one(req, route.node, route.rerouted)) return route.node;
+    // An admin crash took the target down between routing and its shard
+    // lock. The crash updated the index under that lock, so routing again
+    // fails over to a healthy node.
   }
-  if (route.rerouted) rerouted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr)
-    telemetry_->on_route(req.inv, route.node, route.rerouted, clock_.now_s());
-  dispatch_one(req, route.node, route.rerouted);
-  return route.node;
 }
 
-void SchedulerService::dispatch_one(const Request& req, std::size_t target,
+bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
                                     bool rerouted) {
   const std::size_t shard = index_->shard_of(target);
   std::lock_guard lock(*shard_mutexes_[shard]);
   const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
                                       "service shard mutex");
   sim::ClusterEnv& env = fleet_.node_env(target);
+  if (env.down()) return false;
   sim::Invocation inv = req.inv;
   // Concurrent ingestion can deliver a request after the node's clock moved
   // past its stamped arrival; clamping keeps offer()'s non-decreasing
@@ -433,6 +443,7 @@ void SchedulerService::dispatch_one(const Request& req, std::size_t target,
   if (telemetry_ != nullptr)
     telemetry_->on_dispatch(req.inv, target, req.degraded, rerouted, result,
                             clock_.now_s());
+  return true;
 }
 
 void SchedulerService::note_wave(std::size_t width) {
@@ -444,7 +455,8 @@ void SchedulerService::note_wave(std::size_t width) {
 }
 
 std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
-                                            std::size_t begin) {
+                                            std::size_t begin,
+                                            std::vector<Request>& retry) {
   // Phase 1 — route. Every wave member must target a *distinct* node:
   // ClusterEnv requires offer -> step before the next offer on a node, and
   // a wave steps only after the batched forward. The whole wave routes
@@ -498,6 +510,18 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
     lock_ranks.emplace_back(util::lock_ranks::service_shard(shard),
                             "service shard mutex");
   }
+
+  // An admin crash may have taken a target down since Phase 1. Its
+  // request leaves the wave for `retry`, which process_batch() routes again
+  // once no shard lock is held; the crash updated the index under the lock
+  // held here, so routing then fails over.
+  std::vector<Entry> up;
+  up.reserve(wave.size());
+  for (const Entry& entry : wave) {
+    if (fleet_.node_env(entry.target).down()) retry.push_back(*entry.req);
+    else up.push_back(entry);
+  }
+  wave.swap(up);
 
   // Phase 3 — offer every wave member (clamped), then decide the
   // non-degraded ones in a single forward_batch under the inference mutex.
@@ -561,8 +585,14 @@ void SchedulerService::process_batch(const std::vector<Request>& batch) {
   if (batch.empty()) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (mlcr_mode_) {
+    std::vector<Request> retry;
     std::size_t i = 0;
-    while (i < batch.size()) i = dispatch_wave(batch, i);
+    while (i < batch.size()) i = dispatch_wave(batch, i, retry);
+    while (!retry.empty()) {
+      const std::vector<Request> again = std::move(retry);
+      retry.clear();
+      for (i = 0; i < again.size();) i = dispatch_wave(again, i, retry);
+    }
   } else {
     for (const Request& req : batch) (void)serve_one(req);
   }

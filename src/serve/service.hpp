@@ -207,15 +207,18 @@ class SchedulerService {
 
   /// Offer/decide/step/observe on `target` under its shard mutex, then
   /// refresh the index entry. Mirrors FleetEnv::dispatch. `rerouted` is
-  /// routing context forwarded to telemetry.
-  void dispatch_one(const Request& req, std::size_t target, bool rerouted);
+  /// routing context forwarded to telemetry. Returns false, touching
+  /// nothing, when `target` went down after it was routed to.
+  [[nodiscard]] bool dispatch_one(const Request& req, std::size_t target,
+                                  bool rerouted);
 
   /// Serve `batch[begin..]` up to one MLCR wave: route requests until a
   /// target node repeats or the wave reaches config_.batch, then offer all,
   /// decide the whole wave in one forward_batch, and step each. Returns the
-  /// index of the first unserved request.
+  /// index of the first unserved request. A request whose target went down
+  /// after routing is appended to `retry` instead, to be routed again.
   std::size_t dispatch_wave(const std::vector<Request>& batch,
-                            std::size_t begin);
+                            std::size_t begin, std::vector<Request>& retry);
 
   void process_batch(const std::vector<Request>& batch);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "nn/attention.hpp"
@@ -57,6 +59,78 @@ TEST(Serialize, RejectsTruncatedFile) {
   std::stringstream truncated(full.substr(0, full.size() / 2));
   Sequential dst = make_net(2);
   EXPECT_THROW(load_parameters(dst, truncated), util::CheckError);
+}
+
+/// Byte offset of each parameter's first f32 value in a saved stream,
+/// walked along the format in serialize.hpp.
+std::vector<std::size_t> value_offsets(const std::string& bytes) {
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  std::size_t at = 8;  // magic
+  const std::uint64_t count = u64_at(at);
+  at += 8;
+  std::vector<std::size_t> out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    at += 8 + u64_at(at);  // name
+    const std::uint64_t rows = u64_at(at);
+    const std::uint64_t cols = u64_at(at + 8);
+    at += 16;
+    out.push_back(at);
+    at += rows * cols * sizeof(float);
+  }
+  EXPECT_EQ(at, bytes.size());
+  return out;
+}
+
+TEST(Serialize, RejectsNonFiniteWeightsNamingTheParameter) {
+  Sequential src = make_net(1);
+  std::stringstream buffer;
+  save_parameters(src, buffer);
+  const std::string clean = buffer.str();
+  const std::vector<std::size_t> offsets = value_offsets(clean);
+  const std::vector<Parameter*> params = src.parameters();
+  ASSERT_EQ(offsets.size(), params.size());
+
+  // Mutation loop: for every parameter, set all exponent bits of its first,
+  // middle and last value (-> inf when the mantissa is zero, NaN otherwise),
+  // and also write an explicit quiet NaN and -inf there.
+  std::size_t mutants = 0;
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    const std::size_t n = params[p]->value.size();
+    for (const std::size_t element : {std::size_t{0}, n / 2, n - 1}) {
+      const std::size_t at = offsets[p] + element * sizeof(float);
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, clean.data() + at, sizeof(bits));
+      for (const std::uint32_t mutated :
+           {bits | 0x7F800000U, 0x7FC00000U, 0xFF800000U}) {
+        std::string bad = clean;
+        std::memcpy(bad.data() + at, &mutated, sizeof(mutated));
+        std::stringstream in(bad);
+        Sequential dst = make_net(2);
+        try {
+          load_parameters(dst, in);
+          ADD_FAILURE() << "loaded a non-finite value in parameter " << p;
+        } catch (const util::CheckError& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("parameter #" + std::to_string(p) + " '" +
+                              params[p]->name + "' at element " +
+                              std::to_string(element)),
+                    std::string::npos)
+              << what;
+        }
+        ++mutants;
+      }
+    }
+  }
+  EXPECT_EQ(mutants, params.size() * 9);
+
+  // The unmutated stream still loads.
+  std::stringstream in(clean);
+  Sequential dst = make_net(2);
+  EXPECT_NO_THROW(load_parameters(dst, in));
 }
 
 TEST(Serialize, FileRoundTrip) {

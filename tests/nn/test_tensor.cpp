@@ -91,17 +91,19 @@ TEST(Matmul, VariantsAgreeWithExplicitTranspose) {
   const Tensor b = Tensor::he_uniform(4, 5, rng);
   const Tensor c = Tensor::he_uniform(5, 6, rng);
 
+  // All three sum each output in the same order (k ascending, separately
+  // rounded multiply and add), so they agree exactly, not just closely.
   const Tensor tn = matmul_tn(a, b);           // a^T b: (6x5)
   const Tensor tn_ref = matmul(a.transposed(), b);
   ASSERT_TRUE(tn.same_shape(tn_ref));
   for (std::size_t i = 0; i < tn.size(); ++i)
-    EXPECT_NEAR(tn.data()[i], tn_ref.data()[i], 1e-5F);
+    EXPECT_EQ(tn.data()[i], tn_ref.data()[i]) << i;
 
   const Tensor nt = matmul_nt(a, c);           // a c^T: (4x5)
   const Tensor nt_ref = matmul(a, c.transposed());
   ASSERT_TRUE(nt.same_shape(nt_ref));
   for (std::size_t i = 0; i < nt.size(); ++i)
-    EXPECT_NEAR(nt.data()[i], nt_ref.data()[i], 1e-5F);
+    EXPECT_EQ(nt.data()[i], nt_ref.data()[i]) << i;
 }
 
 TEST(Softmax, RowsSumToOneAndOrderPreserved) {

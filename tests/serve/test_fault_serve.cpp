@@ -227,6 +227,7 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
                                      world.fn_js, world.fn_other_os};
   std::atomic<bool> stop{false};
+  std::atomic<bool> crashed_once{false};
   // ONE admin thread drives crash/recover cycles over both racks while the
   // workers dispatch — the documented concurrency contract of the apply_*
   // APIs. Every iteration crashes a domain (admitting the spare on the
@@ -236,6 +237,7 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::size_t domain = round % 2;
       (void)service.apply_domain_crash(domain, /*partial=*/(round % 3) == 0);
+      crashed_once.store(true);
       std::this_thread::yield();
       for (std::size_t n = 3 * domain; n < 3 * domain + 3; ++n)
         (void)service.apply_recover(n);
@@ -246,6 +248,9 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      // Submit only once the first crash is in: on a loaded machine the
+      // producers could otherwise finish before the admin thread ever ran.
+      while (!crashed_once.load()) std::this_thread::yield();
       for (std::size_t i = 0; i < kPerProducer; ++i) {
         sim::Invocation inv = TinyWorld::inv(
             fns[(p + i) % 4], 0.001 * static_cast<double>(i), 0.02);
