@@ -32,7 +32,6 @@
 #include "faults/fault_plan.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/router.hpp"
-#include "serve/policy.hpp"
 #include "serve/service.hpp"
 #include "serve/telemetry.hpp"
 #include "util/check.hpp"
@@ -279,9 +278,8 @@ void serve_goodput_snapshots(const benchtools::Suite& suite,
   serve::Telemetry telemetry(tcfg);
   serve::ServeConfig scfg;
   scfg.workers = 1;
-  scfg.shards = 4;
   serve::SchedulerService service(fleet, clock,
-                                  std::make_unique<serve::WarmAwarePolicy>(),
+                                  std::make_unique<fleet::WarmAwareRouter>(),
                                   scfg);
   service.set_telemetry(&telemetry);
   const serve::ServeSummary replayed = service.run_replay(trace);

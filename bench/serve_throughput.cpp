@@ -1,13 +1,12 @@
 // Serving front-end throughput (DESIGN.md §11): how fast the concurrent
-// scheduler service makes routing decisions over the sharded fleet index,
-// and how fast the full ingest -> route -> dispatch path serves requests.
+// scheduler service makes routing decisions over its fleet index, and how
+// fast the full ingest -> route -> dispatch path serves requests.
 //
-// Phase 1 (route-only): worker threads hammer RoutePolicy::route() against a
-// pre-seeded ShardedFleetIndex — no dispatch, no queues — sweeping thread
-// count x shard count. This isolates the read path the sharding exists for:
-// at 1 shard every reader serializes on one shared_mutex, at 8 shards reads
-// spread across locks. The headline events_per_sec is the Least-Outstanding
-// decision rate at the widest cell (max threads, max shards).
+// Phase 1 (route-only): threads hammer IndexRouter::route() against a
+// pre-seeded FleetIndex — no dispatch, no queues — each decision under a
+// shared lock on one std::shared_mutex, as SchedulerService routes. The
+// sweep is over thread count; the headline events_per_sec is the
+// Least-Outstanding decision rate at the most threads.
 //
 // Phase 2 (full service): producer threads submit() into a started
 // SchedulerService over a 64-node greedy-match fleet on the wall clock,
@@ -29,6 +28,7 @@
 #include <cstddef>
 #include <iostream>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -36,10 +36,10 @@
 
 #include "common.hpp"
 #include "fleet/fleet_env.hpp"
+#include "fleet/fleet_index.hpp"
+#include "fleet/router.hpp"
 #include "serve/clock.hpp"
-#include "serve/policy.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded_index.hpp"
 #include "serve/telemetry.hpp"
 #include "util/wall_clock.hpp"
 
@@ -82,31 +82,34 @@ void prewarm(fleet::FleetEnv& fleet, const sim::Trace& trace) {
   }
 }
 
-/// Fresh index over the (pre-warmed) fleet at the given shard count.
-serve::ShardedFleetIndex make_index(fleet::FleetEnv& fleet, std::size_t shards,
-                                    bool track_warm) {
-  serve::ShardedFleetIndex index(fleet.node_count(), shards, track_warm);
+/// Fresh index over the (pre-warmed) fleet.
+fleet::FleetIndex make_index(fleet::FleetEnv& fleet, bool track_warm) {
+  fleet::FleetIndex index(fleet.node_count(), track_warm);
   for (std::size_t n = 0; n < fleet.node_count(); ++n)
     index.update(n, fleet.node_env(n));
   return index;
 }
 
 /// Run `decisions` route() calls split across `threads` threads against a
-/// shared policy instance; returns decisions per second. The picked node
+/// shared policy instance, each under a shared lock on one index lock as
+/// SchedulerService takes it; returns decisions per second. The picked node
 /// indices feed an atomic sink so the calls cannot be optimized away.
-double measure_route(serve::RoutePolicy& policy,
-                     const serve::ShardedFleetIndex& index,
+double measure_route(fleet::IndexRouter& policy,
+                     const fleet::FleetIndex& index,
                      const sim::FunctionTable& functions,
                      const sim::Trace& trace, std::size_t threads,
                      std::size_t decisions) {
+  std::shared_mutex index_lock;
   std::atomic<std::size_t> sink{0};
   const std::size_t per_thread = decisions / threads;
   const auto worker = [&](std::size_t tid) {
     const auto& invs = trace.invocations();
     std::size_t local = 0;
     std::size_t cursor = tid * 131;  // decorrelate the per-thread streams
-    for (std::size_t i = 0; i < per_thread; ++i, ++cursor)
+    for (std::size_t i = 0; i < per_thread; ++i, ++cursor) {
+      const std::shared_lock lock(index_lock);
       local += policy.route(index, functions, invs[cursor % invs.size()]);
+    }
     sink.fetch_add(local, std::memory_order_relaxed);
   };
 
@@ -154,20 +157,16 @@ int main(int argc, char** argv) {
       fstartbench::make_overall_workload(suite.bench, 4096, trace_rng);
 
   const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  const std::vector<std::size_t> shard_counts = {1, 4, 8};
   const std::size_t max_threads = thread_counts.back();
-  const std::size_t max_shards = shard_counts.back();
 
   serve::ServeConfig serve_cfg;
   serve_cfg.workers = 4;
-  serve_cfg.shards = max_shards;
   serve_cfg.queue_capacity = 8192;
   serve_cfg.batch = 32;
   constexpr std::size_t kProducers = 2;
 
   double headline_per_sec = 0.0;
-  double route_1t_max_shards = 0.0;
-  double route_maxt_1shard = 0.0;
+  double route_1t_per_sec = 0.0;
   std::vector<std::pair<std::string, double>> policy_rates;
   double svc_per_sec = 0.0;
   serve::ServeSummary summary;
@@ -177,46 +176,33 @@ int main(int argc, char** argv) {
     fleet::FleetEnv fleet = make_fleet(suite);
     prewarm(fleet, trace);
 
-    // --- Phase 1: route-only grid, Least-Outstanding ------------------
+    // --- Phase 1: route-only scaling, Least-Outstanding ---------------
     std::cout << "=== serve route-only throughput: " << kNodes << " nodes, "
-              << decisions << " Least-Outstanding decisions per cell ===\n";
-    util::Table grid({"threads", "1 shard (dec/s)", "4 shards (dec/s)",
-                      "8 shards (dec/s)"});
-    serve::LeastOutstandingPolicy lo;
+              << decisions << " Least-Outstanding decisions per row ===\n";
+    util::Table grid({"threads", "decisions/sec"});
+    fleet::LeastOutstandingRouter lo;
     lo.on_episode_start(kNodes);
-    {  // warm-up pass so first-touch noise lands outside the timed cells
-      serve::ShardedFleetIndex warm = make_index(fleet, 1, false);
-      (void)measure_route(lo, warm, suite.bench.functions, trace, 1,
-                          decisions / 4);
-    }
+    const fleet::FleetIndex plain = make_index(fleet, false);
+    // Warm-up pass so first-touch noise lands outside the timed rows.
+    (void)measure_route(lo, plain, suite.bench.functions, trace, 1,
+                        decisions / 4);
     for (const std::size_t threads : thread_counts) {
-      std::vector<std::string> cells = {std::to_string(threads)};
-      for (const std::size_t shards : shard_counts) {
-        const serve::ShardedFleetIndex index =
-            make_index(fleet, shards, false);
-        const double per_sec = measure_route(lo, index, suite.bench.functions,
-                                             trace, threads, decisions);
-        cells.push_back(util::Table::num(per_sec, 0));
-        if (threads == max_threads && shards == max_shards)
-          headline_per_sec = per_sec;
-        if (threads == 1 && shards == max_shards)
-          route_1t_max_shards = per_sec;
-        if (threads == max_threads && shards == 1)
-          route_maxt_1shard = per_sec;
-      }
-      grid.add_row(std::move(cells));
+      const double per_sec = measure_route(lo, plain, suite.bench.functions,
+                                           trace, threads, decisions);
+      grid.add_row({std::to_string(threads), util::Table::num(per_sec, 0)});
+      if (threads == 1) route_1t_per_sec = per_sec;
+      if (threads == max_threads) headline_per_sec = per_sec;
     }
     grid.print(std::cout);
 
-    // --- Phase 1b: every standard policy at the widest cell -----------
+    // --- Phase 1b: every standard policy at the most threads -----------
     std::cout << "\n=== per-policy decision rate (" << max_threads
-              << " threads, " << max_shards << " shards) ===\n";
+              << " threads) ===\n";
     util::Table per_policy({"policy", "decisions/sec"});
-    const serve::ShardedFleetIndex plain =
-        make_index(fleet, max_shards, false);
-    const serve::ShardedFleetIndex warm = make_index(fleet, max_shards, true);
-    for (const serve::PolicySpec& spec : serve::standard_policies()) {
-      const std::unique_ptr<serve::RoutePolicy> policy = spec.make();
+    const fleet::FleetIndex warm = make_index(fleet, true);
+    for (const fleet::IndexRouterSpec& spec :
+         fleet::standard_index_routers()) {
+      const std::unique_ptr<fleet::IndexRouter> policy = spec.make();
       policy->on_episode_start(kNodes);
       const auto& index = policy->needs_warm_index() ? warm : plain;
       const double per_sec = measure_route(*policy, index,
@@ -235,7 +221,7 @@ int main(int argc, char** argv) {
     serve::Telemetry live_telemetry(live_tcfg);
     serve::SchedulerService service(
         service_fleet, clock,
-        std::make_unique<serve::LeastOutstandingPolicy>(), serve_cfg);
+        std::make_unique<fleet::LeastOutstandingRouter>(), serve_cfg);
     service.set_telemetry(&live_telemetry);
     service.begin_episode();
     service.start();
@@ -279,8 +265,7 @@ int main(int argc, char** argv) {
               << util::Table::num(live_slo.queue_depth_max, 0) << "\n";
 
     std::cout << "\nheadline: " << util::Table::num(headline_per_sec, 0)
-              << " routing decisions/sec at " << max_threads << " threads, "
-              << max_shards << " shards\n";
+              << " routing decisions/sec at " << max_threads << " threads\n";
   }
 
   // --- Phase 3: deterministic replay with the full telemetry plane ----
@@ -296,7 +281,7 @@ int main(int argc, char** argv) {
   serve::Telemetry replay_telemetry(replay_tcfg, &tracer);
   serve::SchedulerService replay_service(
       replay_fleet, sim_clock,
-      std::make_unique<serve::LeastOutstandingPolicy>(), serve_cfg);
+      std::make_unique<fleet::LeastOutstandingRouter>(), serve_cfg);
   replay_service.set_telemetry(&replay_telemetry);
 
   const std::int64_t rp_t0 = util::wall_now_us();
@@ -324,7 +309,6 @@ int main(int argc, char** argv) {
     benchtools::BenchJson out("serve_throughput");
     out.config("nodes", kNodes);
     out.config("threads", max_threads);
-    out.config("shards", max_shards);
     out.config("route_decisions", decisions);
     out.config("service_requests", requests);
     out.config("policy", std::string("Least-Outstanding"));
@@ -337,8 +321,7 @@ int main(int argc, char** argv) {
       out.wall_ms(1000.0 * static_cast<double>(decisions) /
                   (headline_per_sec > 0.0 ? headline_per_sec : 1.0));
       out.events_per_sec(headline_per_sec);
-      out.metric("route_1t_8shard_per_sec", route_1t_max_shards);
-      out.metric("route_8t_1shard_per_sec", route_maxt_1shard);
+      out.metric("route_1t_per_sec", route_1t_per_sec);
       for (const auto& [name, per_sec] : policy_rates) {
         std::string key = "route_" + name + "_per_sec";
         for (char& c : key) {

@@ -43,7 +43,10 @@ int main() {
                        Set{"Arrival (Fig 11c)", {1, 2, 5, 6, 13}}}) {
     const auto types = bench.paper_ids(s.ids);
     std::string ids;
-    for (int id : s.ids) ids += (ids.empty() ? "" : ",") + std::to_string(id);
+    for (int id : s.ids) {
+      if (!ids.empty()) ids += ',';
+      ids += std::to_string(id);
+    }
     metrics.add_row(
         {s.name, ids,
          util::Table::num(

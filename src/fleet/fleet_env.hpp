@@ -102,7 +102,7 @@ class FleetEnv {
 
   /// Mutable access to node `i`'s environment / scheduler for the serving
   /// layer (src/serve), which drives the nodes' streaming episodes directly
-  /// under its own shard locking. Must not be interleaved with this fleet's
+  /// under its own dispatch mutex. Must not be interleaved with this fleet's
   /// own run()/run_lockstep().
   [[nodiscard]] sim::ClusterEnv& node_env(std::size_t i);
   [[nodiscard]] policies::Scheduler& node_scheduler(std::size_t i);

@@ -35,7 +35,7 @@ std::string FleetIndex::level_key(const containers::ImageSpec& image,
 }
 
 FleetIndex::FleetIndex(std::size_t nodes, bool track_warm)
-    : track_warm_(track_warm), nodes_(nodes) {
+    : track_warm_(track_warm), nodes_(nodes), routable_(nodes) {
   MLCR_CHECK(nodes > 0);
 }
 
@@ -85,6 +85,8 @@ void FleetIndex::set_routable(std::size_t node, bool routable) {
   NodeEntry& entry = nodes_[node];
   if (entry.routable == routable) return;
   entry.routable = routable;
+  if (routable) ++routable_;
+  else --routable_;
   if (!entry.in_load) return;
   if (routable) {
     load_all_.insert({entry.busy, node});
@@ -104,18 +106,6 @@ std::size_t FleetIndex::least_outstanding() const {
 std::optional<std::size_t> FleetIndex::least_outstanding_healthy() const {
   if (load_healthy_.empty()) return std::nullopt;
   return load_healthy_.begin()->second;
-}
-
-std::optional<std::pair<std::size_t, std::size_t>>
-FleetIndex::least_outstanding_entry() const {
-  if (load_all_.empty()) return std::nullopt;
-  return *load_all_.begin();
-}
-
-std::optional<std::pair<std::size_t, std::size_t>>
-FleetIndex::least_outstanding_healthy_entry() const {
-  if (load_healthy_.empty()) return std::nullopt;
-  return *load_healthy_.begin();
 }
 
 FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {

@@ -2,7 +2,8 @@
 // event-driven FleetEnv::run keeps one FleetIndex current so routers that
 // need cluster-wide views — least-outstanding load, warm-pool match lookup,
 // the failover scan — read it in O(log nodes) instead of rescanning every
-// node per invocation.
+// node per invocation. The serving plane (src/serve) keeps one too, behind
+// a single shared lock (DESIGN.md §11). The class itself does no locking.
 //
 // Two structures:
 //   Load index  — ordered (busy_count, node) sets over all nodes and over
@@ -65,18 +66,9 @@ class FleetIndex {
   /// reroute path.
   [[nodiscard]] std::optional<std::size_t> least_outstanding_healthy() const;
 
-  /// The minimum (busy, node) load entry itself, or nullopt before any
-  /// update(). The serving layer's ShardedFleetIndex merges these across
-  /// shards: the lexicographic minimum over shard minima is exactly the
-  /// global least_outstanding() pick.
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
-  least_outstanding_entry() const;
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
-  least_outstanding_healthy_entry() const;
-
   /// Per-node snapshot of the last update(): in-flight executions, health,
-  /// and free pool memory — the inputs of the warm-aware tie-break, exposed
-  /// so index-only readers (the serving layer) never touch the env.
+  /// and free pool memory — the inputs of the warm-aware tie-break, so
+  /// routing never touches a node's env.
   struct NodeLoad {
     std::size_t busy = 0;
     bool up = true;
@@ -89,6 +81,10 @@ class FleetIndex {
   [[nodiscard]] bool tracks_warm() const noexcept { return track_warm_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
+  }
+  /// Nodes currently routable (spares join as set_routable admits them).
+  [[nodiscard]] std::size_t routable_count() const noexcept {
+    return routable_;
   }
 
   /// Nodes holding at least one idle container matching `image` at level
@@ -115,6 +111,7 @@ class FleetIndex {
 
   bool track_warm_;
   std::vector<NodeEntry> nodes_;
+  std::size_t routable_;
   std::set<std::pair<std::size_t, std::size_t>> load_all_;
   std::set<std::pair<std::size_t, std::size_t>> load_healthy_;
   /// level -> key -> node -> idle container count.

@@ -12,15 +12,17 @@ namespace mlcr::fleet {
 
 namespace {
 
+using RingPoint = ConsistentHashRouter::RingPoint;
+
 /// One splitmix64 pass: a cheap, well-mixed 64-bit hash step.
 [[nodiscard]] std::uint64_t mix(std::uint64_t x) noexcept {
   return util::splitmix64(x);
 }
 
+/// FleetIndex::least_outstanding() when an index is live, else its
+/// linear-scan oracle (run_lockstep): min busy over the routable prefix,
+/// lowest index on ties.
 [[nodiscard]] std::size_t least_outstanding_node(const FleetEnv& fleet) {
-  // Index fast path: the ordered load set's minimum is exactly what the
-  // linear scan below picks (min busy, lowest index on ties). Both cover
-  // the routable prefix only — spares join as crash events admit them.
   if (const FleetIndex* index = fleet.index())
     return index->least_outstanding();
   std::size_t best = 0;
@@ -47,9 +49,12 @@ namespace {
   return best;
 }
 
-}  // namespace
-
-std::uint64_t affinity_key(const containers::ImageSpec& image) noexcept {
+/// Hash of the OS + language package lists of an image: the affinity key.
+/// The runtime level is deliberately excluded so that functions differing
+/// only in their runtime packages still colocate (and can serve each other
+/// at Table-I L2).
+[[nodiscard]] std::uint64_t affinity_key(
+    const containers::ImageSpec& image) noexcept {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL;
   for (const containers::Level level :
        {containers::Level::kOs, containers::Level::kLanguage})
@@ -58,10 +63,11 @@ std::uint64_t affinity_key(const containers::ImageSpec& image) noexcept {
   return h;
 }
 
-std::vector<HashRingPoint> build_hash_ring(std::size_t nodes,
-                                           std::size_t virtual_nodes) {
+/// The sorted ring of `nodes` x `virtual_nodes` deterministic points.
+[[nodiscard]] std::vector<RingPoint> build_hash_ring(
+    std::size_t nodes, std::size_t virtual_nodes) {
   MLCR_CHECK(nodes > 0 && virtual_nodes > 0);
-  std::vector<HashRingPoint> ring;
+  std::vector<RingPoint> ring;
   ring.reserve(nodes * virtual_nodes);
   for (std::size_t node = 0; node < nodes; ++node) {
     // Each (node, replica) pair gets a deterministic ring position; the
@@ -73,56 +79,114 @@ std::vector<HashRingPoint> build_hash_ring(std::size_t nodes,
     }
   }
   std::sort(ring.begin(), ring.end(),
-            [](const HashRingPoint& a, const HashRingPoint& b) {
+            [](const RingPoint& a, const RingPoint& b) {
               if (a.hash != b.hash) return a.hash < b.hash;
               return a.node < b.node;  // deterministic on (improbable) ties
             });
   return ring;
 }
 
-std::size_t hash_ring_pick(const std::vector<HashRingPoint>& ring,
-                           std::uint64_t key) {
-  MLCR_CHECK_MSG(!ring.empty(), "pick on an empty hash ring");
-  auto it = std::lower_bound(ring.begin(), ring.end(), key,
-                             [](const HashRingPoint& p, std::uint64_t k) {
-                               return p.hash < k;
-                             });
-  if (it == ring.end()) it = ring.begin();
-  return it->node;
+/// Generic over the spec type, so both interfaces share one policy list.
+template <class Spec>
+[[nodiscard]] std::vector<Spec> standard_specs(std::uint64_t seed) {
+  std::vector<Spec> specs;
+  specs.push_back(
+      {"Random", [seed] { return std::make_unique<RandomRouter>(seed); }});
+  specs.push_back(
+      {"Round-Robin", [] { return std::make_unique<RoundRobinRouter>(); }});
+  specs.push_back({"Least-Outstanding",
+                   [] { return std::make_unique<LeastOutstandingRouter>(); }});
+  specs.push_back({"Hash-Affinity",
+                   [] { return std::make_unique<ConsistentHashRouter>(); }});
+  specs.push_back(
+      {"Warm-Aware", [] { return std::make_unique<WarmAwareRouter>(); }});
+  return specs;
 }
 
+}  // namespace
+
 void RandomRouter::on_episode_start(const FleetEnv& fleet) {
-  (void)fleet;
+  on_episode_start(fleet.routable_count());
+}
+
+void RandomRouter::on_episode_start(std::size_t routable) {
+  (void)routable;
+  std::lock_guard lock(mutex_);
   rng_ = util::Rng(seed_);
+}
+
+std::size_t RandomRouter::draw(std::size_t routable) {
+  std::lock_guard lock(mutex_);
+  return rng_.uniform_index(routable);
 }
 
 std::size_t RandomRouter::route(const FleetEnv& fleet,
                                 const sim::Invocation& inv) {
   (void)inv;
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  return rng_.uniform_index(fleet.routable_count());
+  return draw(fleet.routable_count());
+}
+
+std::size_t RandomRouter::route(const FleetIndex& index,
+                                const sim::FunctionTable& functions,
+                                const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  MLCR_CHECK_MSG(index.routable_count() > 0, "route() over an empty fleet");
+  return draw(index.routable_count());
 }
 
 void RoundRobinRouter::on_episode_start(const FleetEnv& fleet) {
-  (void)fleet;
-  next_ = 0;
+  on_episode_start(fleet.routable_count());
+}
+
+void RoundRobinRouter::on_episode_start(std::size_t routable) {
+  (void)routable;
+  next_.store(0, std::memory_order_relaxed);
+}
+
+std::size_t RoundRobinRouter::advance(std::size_t routable) {
+  // The routable set only grows within an episode (spares join), so the
+  // cursor never points past it.
+  std::size_t node = next_.load(std::memory_order_relaxed);
+  while (!next_.compare_exchange_weak(node, (node + 1) % routable,
+                                      std::memory_order_relaxed)) {
+  }
+  MLCR_CHECK_MSG(node < routable, "round-robin cursor outside the fleet");
+  return node;
 }
 
 std::size_t RoundRobinRouter::route(const FleetEnv& fleet,
                                     const sim::Invocation& inv) {
   (void)inv;
-  MLCR_CHECK_MSG(next_ < fleet.routable_count(),
-                 "round-robin cursor outside the fleet");
-  const std::size_t node = next_;
-  next_ = (next_ + 1) % fleet.routable_count();
-  return node;
+  MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
+  return advance(fleet.routable_count());
+}
+
+std::size_t RoundRobinRouter::route(const FleetIndex& index,
+                                    const sim::FunctionTable& functions,
+                                    const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  MLCR_CHECK_MSG(index.routable_count() > 0, "route() over an empty fleet");
+  return advance(index.routable_count());
 }
 
 std::size_t LeastOutstandingRouter::route(const FleetEnv& fleet,
                                           const sim::Invocation& inv) {
-  (void)inv;
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
+  if (const FleetIndex* index = fleet.index())
+    return route(*index, fleet.functions(), inv);
   return least_outstanding_node(fleet);
+}
+
+std::size_t LeastOutstandingRouter::route(const FleetIndex& index,
+                                          const sim::FunctionTable& functions,
+                                          const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  MLCR_CHECK_MSG(index.routable_count() > 0, "route() over an empty fleet");
+  return index.least_outstanding();
 }
 
 ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
@@ -131,56 +195,51 @@ ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
 }
 
 void ConsistentHashRouter::on_episode_start(const FleetEnv& fleet) {
+  on_episode_start(fleet.routable_count());
+}
+
+void ConsistentHashRouter::on_episode_start(std::size_t routable) {
   // The ring covers the episode's initial routable set. Spares admitted
   // mid-episode stay off the ring — affinity keys keep their mapping and
   // spares absorb traffic through failover / least-outstanding paths.
-  ring_ = build_hash_ring(fleet.routable_count(), virtual_nodes_);
+  ring_ = build_hash_ring(routable, virtual_nodes_);
+}
+
+std::size_t ConsistentHashRouter::pick(const sim::FunctionTable& functions,
+                                       const sim::Invocation& inv) const {
+  const std::uint64_t key = affinity_key(functions.get(inv.function).image);
+  auto it = std::lower_bound(ring_.begin(), ring_.end(), key,
+                             [](const RingPoint& p, std::uint64_t k) {
+                               return p.hash < k;
+                             });
+  if (it == ring_.end()) it = ring_.begin();
+  return it->node;
 }
 
 std::size_t ConsistentHashRouter::route(const FleetEnv& fleet,
                                         const sim::Invocation& inv) {
   MLCR_CHECK_MSG(!ring_.empty(), "route() before on_episode_start()");
-  return hash_ring_pick(ring_,
-                        affinity_key(fleet.functions().get(inv.function).image));
+  return pick(fleet.functions(), inv);
+}
+
+std::size_t ConsistentHashRouter::route(const FleetIndex& index,
+                                        const sim::FunctionTable& functions,
+                                        const sim::Invocation& inv) {
+  (void)index;
+  MLCR_CHECK_MSG(!ring_.empty(), "route() before on_episode_start()");
+  return pick(functions, inv);
 }
 
 std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
                                    const sim::Invocation& inv) {
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  const auto& fn_image = fleet.functions().get(inv.function).image;
-
-  // Index fast path: the warm index maps a level key to the nodes holding a
-  // match at >= that level, so the best level is the first non-empty lookup
-  // from L3 down. At that level every candidate's best match is exactly the
-  // level (a better one would have answered the higher lookup), so the
-  // (busy, free memory, index) tie-break below reproduces the scan's choice
-  // bit for bit.
   const FleetIndex* index = fleet.index();
-  if (index != nullptr && index->tracks_warm()) {
-    for (const containers::MatchLevel level :
-         {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
-          containers::MatchLevel::kL1}) {
-      const auto* candidates = index->nodes_matching(fn_image, level);
-      if (candidates == nullptr) continue;
-      std::size_t best = fleet.node_count();
-      for (const auto& [node, count] : *candidates) {
-        (void)count;
-        if (best == fleet.node_count()) {
-          best = node;
-          continue;
-        }
-        const sim::ClusterEnv& env = fleet.node(node);
-        const sim::ClusterEnv& best_env = fleet.node(best);
-        if (env.busy_count() < best_env.busy_count() ||
-            (env.busy_count() == best_env.busy_count() &&
-             env.pool().free_mb() > best_env.pool().free_mb()))
-          best = node;
-      }
-      return best;
-    }
-    return least_outstanding_node(fleet);
-  }
+  if (index != nullptr && index->tracks_warm())
+    return route(*index, fleet.functions(), inv);
 
+  // Linear-scan oracle for run_lockstep: the same choice, read from every
+  // node's pool directly.
+  const auto& fn_image = fleet.functions().get(inv.function).image;
   std::size_t best_node = fleet.node_count();
   containers::MatchLevel best_level = containers::MatchLevel::kNoMatch;
   for (std::size_t i = 0; i < fleet.routable_count(); ++i) {
@@ -211,6 +270,39 @@ std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
   if (best_node != fleet.node_count()) return best_node;
   // Fleet-wide cold start: place it where the least work is outstanding.
   return least_outstanding_node(fleet);
+}
+
+std::size_t WarmAwareRouter::route(const FleetIndex& index,
+                                   const sim::FunctionTable& functions,
+                                   const sim::Invocation& inv) {
+  MLCR_CHECK_MSG(index.routable_count() > 0, "route() over an empty fleet");
+  const auto& fn_image = functions.get(inv.function).image;
+  // The warm index maps a level key to the nodes holding a match at >= that
+  // level, so the best level is the first non-empty lookup from L3 down. At
+  // that level every candidate's best match is exactly the level (a better
+  // one would have answered the higher lookup), so the (busy, free memory,
+  // index) tie-break over the candidates' load entries reproduces the
+  // scan's choice bit for bit.
+  for (const containers::MatchLevel level :
+       {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
+        containers::MatchLevel::kL1}) {
+    const auto* candidates = index.nodes_matching(fn_image, level);
+    if (candidates == nullptr) continue;
+    auto it = candidates->begin();
+    std::size_t best = it->first;
+    FleetIndex::NodeLoad best_load = index.node_load(best);
+    for (++it; it != candidates->end(); ++it) {
+      const FleetIndex::NodeLoad load = index.node_load(it->first);
+      if (load.busy < best_load.busy ||
+          (load.busy == best_load.busy && load.free_mb > best_load.free_mb)) {
+        best = it->first;
+        best_load = load;
+      }
+    }
+    return best;
+  }
+  // Fleet-wide cold start: place it where the least work is outstanding.
+  return index.least_outstanding();
 }
 
 FailoverRouter::FailoverRouter(std::unique_ptr<Router> inner)
@@ -311,18 +403,11 @@ std::string HealthAwareRouter::name() const {
 }
 
 std::vector<RouterSpec> standard_routers(std::uint64_t seed) {
-  std::vector<RouterSpec> routers;
-  routers.push_back(
-      {"Random", [seed] { return std::make_unique<RandomRouter>(seed); }});
-  routers.push_back(
-      {"Round-Robin", [] { return std::make_unique<RoundRobinRouter>(); }});
-  routers.push_back({"Least-Outstanding",
-                     [] { return std::make_unique<LeastOutstandingRouter>(); }});
-  routers.push_back({"Hash-Affinity",
-                     [] { return std::make_unique<ConsistentHashRouter>(); }});
-  routers.push_back(
-      {"Warm-Aware", [] { return std::make_unique<WarmAwareRouter>(); }});
-  return routers;
+  return standard_specs<RouterSpec>(seed);
+}
+
+std::vector<IndexRouterSpec> standard_index_routers(std::uint64_t seed) {
+  return standard_specs<IndexRouterSpec>(seed);
 }
 
 RouterSpec with_failover(RouterSpec spec) {

@@ -16,49 +16,34 @@
 //                       Table-I match for this invocation (the fleet analog
 //                       of Greedy-Match; an upper bound for state-aware
 //                       routing at O(nodes × pool) cost per request).
+//
+// Each policy is one class serving both planes. As a Router it routes
+// FleetEnv::run / run_lockstep; as an IndexRouter it routes the concurrent
+// serving plane (src/serve), which sees only a FleetIndex. The decision is
+// written once, over the index: the FleetEnv overload delegates to it while
+// the event core keeps an index live, and keeps a linear scan only for
+// run_lockstep, the equivalence oracle.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "sim/invocation.hpp"
 #include "util/rng.hpp"
 
-namespace mlcr::containers {
-class ImageSpec;
+namespace mlcr::sim {
+class FunctionTable;
 }
 
 namespace mlcr::fleet {
 
 class FleetEnv;
-
-/// Hash of the OS + language package lists of an image: the affinity key of
-/// ConsistentHashRouter. The runtime level is deliberately excluded so that
-/// functions differing only in their runtime packages still colocate (and
-/// can serve each other at Table-I L2). Shared with the serving layer's
-/// HashAffinityPolicy so live routing and replay agree bit-for-bit.
-[[nodiscard]] std::uint64_t affinity_key(
-    const containers::ImageSpec& image) noexcept;
-
-/// One virtual node on the consistent-hash ring.
-struct HashRingPoint {
-  std::uint64_t hash = 0;
-  std::size_t node = 0;
-};
-
-/// Build the sorted ring of `nodes` x `virtual_nodes` deterministic points —
-/// the per-episode state of ConsistentHashRouter, factored out so the
-/// serving layer constructs the identical ring.
-[[nodiscard]] std::vector<HashRingPoint> build_hash_ring(
-    std::size_t nodes, std::size_t virtual_nodes);
-
-/// First ring point clockwise of `key` (wrapping). Requires a non-empty
-/// sorted ring.
-[[nodiscard]] std::size_t hash_ring_pick(
-    const std::vector<HashRingPoint>& ring, std::uint64_t key);
+class FleetIndex;
 
 class Router {
  public:
@@ -83,38 +68,90 @@ class Router {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Seeded uniform-random node choice.
-class RandomRouter final : public Router {
+/// A routing policy that reads only a FleetIndex — never a node
+/// environment — so the serving plane can route from many worker threads
+/// under one shared index lock. route() must be safe to call concurrently:
+/// stateful policies guard their own state.
+class IndexRouter {
+ public:
+  virtual ~IndexRouter() = default;
+
+  /// Called once per episode, before the first route(), with the size of
+  /// the initial routable set.
+  virtual void on_episode_start(std::size_t routable) { (void)routable; }
+
+  /// Pick the routable node that serves `inv`.
+  [[nodiscard]] virtual std::size_t route(const FleetIndex& index,
+                                          const sim::FunctionTable& functions,
+                                          const sim::Invocation& inv) = 0;
+
+  /// As Router::needs_warm_index(): the index must track warm pools.
+  [[nodiscard]] virtual bool needs_warm_index() const { return false; }
+
+  [[nodiscard]] virtual std::string name() const = 0;
+};
+
+/// Common base of the five standard policies: one class answers both
+/// interfaces, so each policy's decision exists once.
+class StandardRouter : public Router, public IndexRouter {
+ public:
+  using Router::on_episode_start;
+  using IndexRouter::on_episode_start;
+  using Router::route;
+  using IndexRouter::route;
+  [[nodiscard]] bool needs_warm_index() const override { return false; }
+};
+
+/// Seeded uniform-random node choice over the routable set. Draws are
+/// serialized on a mutex, so a single-threaded caller sees one stream.
+class RandomRouter final : public StandardRouter {
  public:
   explicit RandomRouter(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
 
   void on_episode_start(const FleetEnv& fleet) override;
+  void on_episode_start(std::size_t routable) override;
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
+                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t route(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
  private:
+  [[nodiscard]] std::size_t draw(std::size_t routable);
+
   std::uint64_t seed_;
+  std::mutex mutex_;
   util::Rng rng_;
 };
 
-/// Cycles through nodes in index order.
-class RoundRobinRouter final : public Router {
+/// Cycles through the routable nodes in index order; the cursor advances
+/// by compare-and-swap, so concurrent callers never share a pick.
+class RoundRobinRouter final : public StandardRouter {
  public:
   void on_episode_start(const FleetEnv& fleet) override;
+  void on_episode_start(std::size_t routable) override;
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
+                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t route(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 
  private:
-  std::size_t next_ = 0;
+  [[nodiscard]] std::size_t advance(std::size_t routable);
+
+  std::atomic<std::size_t> next_{0};
 };
 
 /// Node with the fewest in-flight executions; ties break to the lowest
 /// index, so results are deterministic.
-class LeastOutstandingRouter final : public Router {
+class LeastOutstandingRouter final : public StandardRouter {
  public:
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
+                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t route(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override {
     return "Least-Outstanding";
@@ -126,28 +163,43 @@ class LeastOutstandingRouter final : public Router {
 /// to the same node (preserving multi-level reuse), a single function type
 /// always maps to one node (preserving classic L3 warm starts), and only
 /// ~1/N of keys move when the fleet grows by one node.
-class ConsistentHashRouter final : public Router {
+class ConsistentHashRouter final : public StandardRouter {
  public:
   explicit ConsistentHashRouter(std::size_t virtual_nodes = 64);
 
   void on_episode_start(const FleetEnv& fleet) override;
+  void on_episode_start(std::size_t routable) override;
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
+                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t route(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Hash-Affinity"; }
 
+  /// One virtual node on the ring.
+  struct RingPoint {
+    std::uint64_t hash = 0;
+    std::size_t node = 0;
+  };
+
  private:
+  [[nodiscard]] std::size_t pick(const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) const;
+
   std::size_t virtual_nodes_;
-  std::vector<HashRingPoint> ring_;  ///< sorted by hash
+  std::vector<RingPoint> ring_;  ///< sorted by hash
 };
 
-/// Scans every node's warm pool for the best Table-I match with the
-/// invocation's image and routes there. Ties break to the node with fewer
-/// in-flight executions, then more free pool memory, then the lowest index.
-/// When no node holds any match (a fleet-wide cold start), falls back to
-/// least-outstanding placement.
-class WarmAwareRouter final : public Router {
+/// Routes to the node holding the best Table-I match for the invocation's
+/// image. Ties break to the node with fewer in-flight executions, then more
+/// free pool memory, then the lowest index. When no node holds any match (a
+/// fleet-wide cold start), falls back to least-outstanding placement.
+class WarmAwareRouter final : public StandardRouter {
  public:
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
+                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t route(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] bool needs_warm_index() const override { return true; }
   [[nodiscard]] std::string name() const override { return "Warm-Aware"; }
@@ -213,8 +265,18 @@ struct RouterSpec {
   std::function<std::unique_ptr<Router>()> make;
 };
 
+/// The same for the serving plane's index-only interface.
+struct IndexRouterSpec {
+  std::string name;
+  std::function<std::unique_ptr<IndexRouter>()> make;
+};
+
 /// The five standard policies. `seed` feeds the random router.
 [[nodiscard]] std::vector<RouterSpec> standard_routers(std::uint64_t seed = 1);
+
+/// The same five classes, produced through their IndexRouter interface.
+[[nodiscard]] std::vector<IndexRouterSpec> standard_index_routers(
+    std::uint64_t seed = 1);
 
 /// Wrap a RouterSpec so every produced instance is failover-aware.
 [[nodiscard]] RouterSpec with_failover(RouterSpec spec);

@@ -14,7 +14,7 @@
 namespace mlcr::serve {
 
 SchedulerService::SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
-                                   std::unique_ptr<RoutePolicy> policy,
+                                   std::unique_ptr<fleet::IndexRouter> policy,
                                    ServeConfig config)
     : fleet_(fleet),
       clock_(clock),
@@ -22,7 +22,6 @@ SchedulerService::SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
       config_(config) {
   MLCR_CHECK(policy_ != nullptr);
   MLCR_CHECK_MSG(config_.workers > 0, "the service needs at least one worker");
-  MLCR_CHECK_MSG(config_.shards > 0, "the service needs at least one shard");
   MLCR_CHECK_MSG(config_.batch > 0, "batch must drain at least one request");
   MLCR_CHECK_MSG(config_.queue_capacity > 0, "queues need room for one item");
   MLCR_CHECK_MSG(
@@ -73,7 +72,7 @@ void SchedulerService::begin_episode() {
   // are reachable through the index's failover/least-outstanding queries.
   policy_->on_episode_start(fleet_.routable_count());
 
-  index_ = std::make_unique<ShardedFleetIndex>(nodes, config_.shards,
+  index_ = std::make_unique<fleet::FleetIndex>(nodes,
                                                policy_->needs_warm_index());
   for (std::size_t i = 0; i < nodes; ++i) {
     index_->update(i, fleet_.node_env(i));
@@ -84,9 +83,6 @@ void SchedulerService::begin_episode() {
   for (std::size_t w = 0; w < config_.workers; ++w)
     queues_.push_back(
         std::make_unique<BoundedQueue<Request>>(config_.queue_capacity));
-  shard_mutexes_.clear();
-  for (std::size_t s = 0; s < index_->shard_count(); ++s)
-    shard_mutexes_.push_back(std::make_unique<std::mutex>());
 
   submit_cursor_.store(0, std::memory_order_relaxed);
   janitor_cursor_.store(0, std::memory_order_relaxed);
@@ -234,7 +230,6 @@ ServeSummary SchedulerService::finish_episode() {
   in_episode_ = false;
   index_.reset();
   queues_.clear();
-  shard_mutexes_.clear();
   return out;
 }
 
@@ -257,35 +252,23 @@ ServeStats SchedulerService::stats() const {
   return s;
 }
 
-const ShardedFleetIndex& SchedulerService::index() const {
-  MLCR_CHECK_MSG(index_ != nullptr, "index() outside an episode");
-  return *index_;
-}
-
 bool SchedulerService::apply_crash(std::size_t node, bool partial) {
   MLCR_CHECK_MSG(in_episode_, "apply_crash() outside an episode");
   MLCR_CHECK_MSG(node < fleet_.node_count(),
                  "apply_crash() on unknown node " << node);
-  std::optional<std::size_t> spare;
-  double at = 0.0;
-  {
-    const std::size_t shard = index_->shard_of(node);
-    std::lock_guard lock(*shard_mutexes_[shard]);
-    const util::LockRankScope lock_rank(
-        util::lock_ranks::service_shard(shard), "service shard mutex");
-    sim::ClusterEnv& env = fleet_.node_env(node);
-    if (env.down()) return false;
-    at = std::max(clock_.now_s(), env.now());
-    env.crash(at, partial);
-    index_->update(node, env);
-    node_crashes_.fetch_add(1, std::memory_order_relaxed);
-    if (partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_node_crash(node, partial, at);
-    spare = fleet_.activate_spare();
-  }
-  // Outside the crashed node's shard lock: the spare's shard may rank below
-  // it, and the ascending-order discipline forbids acquiring backwards.
-  if (spare) admit_spare(*spare);
+  std::lock_guard lock(dispatch_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kDispatch,
+                                      "dispatch mutex");
+  sim::ClusterEnv& env = fleet_.node_env(node);
+  if (env.down()) return false;
+  const double at = std::max(clock_.now_s(), env.now());
+  env.crash(at, partial);
+  refresh_index(node);
+  node_crashes_.fetch_add(1, std::memory_order_relaxed);
+  if (partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
+  if (telemetry_ != nullptr) telemetry_->on_node_crash(node, partial, at);
+  if (const auto spare = fleet_.activate_spare())
+    admit_spare(*spare, clock_.now_s());
   return true;
 }
 
@@ -293,15 +276,14 @@ bool SchedulerService::apply_recover(std::size_t node) {
   MLCR_CHECK_MSG(in_episode_, "apply_recover() outside an episode");
   MLCR_CHECK_MSG(node < fleet_.node_count(),
                  "apply_recover() on unknown node " << node);
-  const std::size_t shard = index_->shard_of(node);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+  std::lock_guard lock(dispatch_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kDispatch,
+                                      "dispatch mutex");
   sim::ClusterEnv& env = fleet_.node_env(node);
   if (!env.down()) return false;
   const double at = std::max(clock_.now_s(), env.now());
   env.recover(at);
-  index_->update(node, env);
+  refresh_index(node);
   node_recoveries_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr) telemetry_->on_node_recover(node, at);
   return true;
@@ -331,16 +313,22 @@ std::size_t SchedulerService::apply_domain_crash(std::size_t domain_id,
   return crashed;
 }
 
-void SchedulerService::admit_spare(std::size_t spare) {
-  const std::size_t shard = index_->shard_of(spare);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
-  index_->update(spare, fleet_.node_env(spare));
-  index_->set_routable(spare, true);
+void SchedulerService::refresh_index(std::size_t node) {
+  std::unique_lock lock(index_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kIndex, "index lock");
+  index_->update(node, fleet_.node_env(node));
+}
+
+void SchedulerService::admit_spare(std::size_t spare, double at) {
+  {
+    std::unique_lock lock(index_mutex_);
+    const util::LockRankScope lock_rank(util::lock_ranks::kIndex,
+                                        "index lock");
+    index_->update(spare, fleet_.node_env(spare));
+    index_->set_routable(spare, true);
+  }
   spares_activated_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr)
-    telemetry_->on_spare_activated(spare, clock_.now_s());
+  if (telemetry_ != nullptr) telemetry_->on_spare_activated(spare, at);
 }
 
 std::optional<std::size_t> SchedulerService::apply_fault_event(
@@ -350,13 +338,13 @@ std::optional<std::size_t> SchedulerService::apply_fault_event(
   if (ev.is_recovery) {
     if (clamp && !env.down()) return std::nullopt;
     env.recover(at);
-    index_->update(ev.node, env);
+    refresh_index(ev.node);
     node_recoveries_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry_ != nullptr) telemetry_->on_node_recover(ev.node, at);
     return std::nullopt;
   }
   env.crash(at, ev.partial);
-  index_->update(ev.node, env);
+  refresh_index(ev.node);
   node_crashes_.fetch_add(1, std::memory_order_relaxed);
   if (ev.partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr) telemetry_->on_node_crash(ev.node, ev.partial, at);
@@ -366,17 +354,16 @@ std::optional<std::size_t> SchedulerService::apply_fault_event(
       telemetry_->on_domain_crash(ev.domain, ev.partial, at);
   }
   const std::optional<std::size_t> spare = fleet_.activate_spare();
-  if (spare) {
-    index_->update(*spare, fleet_.node_env(*spare));
-    index_->set_routable(*spare, true);
-    spares_activated_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_spare_activated(*spare, at);
-  }
+  if (spare) admit_spare(*spare, at);
   return spare;
 }
 
 SchedulerService::RouteOutcome SchedulerService::pick_target(
     const sim::Invocation& inv) const {
+  // One shared lock over the whole decision: the policy's pick, the
+  // up-check and the failover all read the same index state.
+  std::shared_lock lock(index_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kIndex, "index lock");
   RouteOutcome out;
   out.node = policy_->route(*index_, fleet_.functions(), inv);
   MLCR_CHECK_MSG(out.node < fleet_.node_count(),
@@ -412,18 +399,17 @@ std::optional<std::size_t> SchedulerService::serve_one(const Request& req) {
       telemetry_->on_route(req.inv, route.node, route.rerouted,
                            clock_.now_s());
     if (dispatch_one(req, route.node, route.rerouted)) return route.node;
-    // An admin crash took the target down between routing and its shard
-    // lock. The crash updated the index under that lock, so routing again
+    // An admin crash took the target down between routing and the dispatch
+    // mutex. The crash updated the index under that mutex, so routing again
     // fails over to a healthy node.
   }
 }
 
 bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
                                     bool rerouted) {
-  const std::size_t shard = index_->shard_of(target);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+  std::lock_guard lock(dispatch_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kDispatch,
+                                      "dispatch mutex");
   sim::ClusterEnv& env = fleet_.node_env(target);
   if (env.down()) return false;
   sim::Invocation inv = req.inv;
@@ -437,7 +423,7 @@ bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
       req.degraded ? sim::Action::cold() : scheduler.decide(env, inv);
   const sim::StepResult result = env.step(action);
   if (!req.degraded) scheduler.on_step_result(env, result);
-  index_->update(target, env);
+  refresh_index(target);
   routed_.fetch_add(1, std::memory_order_relaxed);
   if (req.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr)
@@ -493,28 +479,14 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
   }
   if (wave.empty()) return next;
 
-  // Phase 2 — lock the touched shards' dispatch mutexes in ascending shard
-  // order (deduped), so concurrent workers can never deadlock.
-  std::vector<std::size_t> shards;
-  shards.reserve(wave.size());
-  for (const Entry& entry : wave)
-    shards.push_back(index_->shard_of(entry.target));
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards.size());
-  std::vector<util::LockRankScope> lock_ranks;
-  lock_ranks.reserve(shards.size());
-  for (const std::size_t shard : shards) {
-    locks.emplace_back(*shard_mutexes_[shard]);
-    lock_ranks.emplace_back(util::lock_ranks::service_shard(shard),
-                            "service shard mutex");
-  }
-
-  // An admin crash may have taken a target down since Phase 1. Its
-  // request leaves the wave for `retry`, which process_batch() routes again
-  // once no shard lock is held; the crash updated the index under the lock
-  // held here, so routing then fails over.
+  // Phase 2 — take the dispatch mutex for the rest of the wave. An admin
+  // crash may have taken a target down since Phase 1. Its request leaves
+  // the wave for `retry`, which process_batch() routes again once the mutex
+  // is released; the crash updated the index under this mutex, so routing
+  // then fails over.
+  std::lock_guard lock(dispatch_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kDispatch,
+                                      "dispatch mutex");
   std::vector<Entry> up;
   up.reserve(wave.size());
   for (const Entry& entry : wave) {
@@ -561,14 +533,14 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
   }
 
   // Phase 4 — step every member and refresh its index entry before the
-  // shard locks drop.
+  // dispatch mutex drops.
   for (std::size_t i = 0; i < wave.size(); ++i) {
     const Entry& entry = wave[i];
     sim::ClusterEnv& env = fleet_.node_env(entry.target);
     const sim::StepResult result = env.step(actions[i]);
     if (!entry.req->degraded)
       fleet_.node_scheduler(entry.target).on_step_result(env, result);
-    index_->update(entry.target, env);
+    refresh_index(entry.target);
     routed_.fetch_add(1, std::memory_order_relaxed);
     if (entry.req->degraded)
       degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -607,14 +579,13 @@ void SchedulerService::janitor_step() {
   const std::size_t node =
       janitor_cursor_.fetch_add(1, std::memory_order_relaxed) %
       fleet_.node_count();
-  const std::size_t shard = index_->shard_of(node);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+  std::lock_guard lock(dispatch_mutex_);
+  const util::LockRankScope lock_rank(util::lock_ranks::kDispatch,
+                                      "dispatch mutex");
   sim::ClusterEnv& env = fleet_.node_env(node);
   if (env.now() >= now) return;
   env.advance_idle(now);
-  index_->update(node, env);
+  refresh_index(node);
 }
 
 ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
@@ -624,7 +595,7 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
   MLCR_CHECK_MSG(pool_ == nullptr, "run_replay() while workers run");
   begin_episode();
 
-  // The event core of FleetEnv::run, replicated over the sharded index: one
+  // The event core of FleetEnv::run, replicated over the service: one
   // lazily-invalidated heap entry per node holds its next self-scheduled
   // event (completion or TTL expiry); stale entries are discarded on pop.
   // The plan's fault events stay in the fleet's pre-sorted list and are
@@ -661,7 +632,7 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
       heap.pop();
       sim::ClusterEnv& env = fleet_.node_env(entry.node);
       env.advance_to(entry.time);
-      index_->update(entry.node, env);
+      refresh_index(entry.node);
       reschedule(entry.node);
     }
   };

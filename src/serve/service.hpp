@@ -1,19 +1,21 @@
 // SchedulerService: the online serving front-end over an MLCR fleet
 // (DESIGN.md §11). Producers submit() invocations into bounded per-worker
 // queues; worker threads drain them in batches and dispatch each request to
-// a node picked by a RoutePolicy over the ShardedFleetIndex. The node's own
+// a node picked by a routing policy (a fleet::IndexRouter — the same class
+// FleetEnv::run routes with) over one fleet::FleetIndex. The node's own
 // scheduler (any SystemSpec, including MLCR) then makes the container-reuse
 // decision, exactly as in FleetEnv::run.
 //
-// Concurrency model (two-level locking):
-//   - routing reads only the sharded index (shared locks inside it) — never
-//     a node environment;
-//   - dispatch mutates node state under the service's per-shard std::mutex
-//     (node n -> shard n % shards), and refreshes the index entry before
-//     releasing it, so readers never observe a node mid-step;
-//   - lock order is service shard mutex -> index shard lock (inside
-//     update()) -> inference mutex, never reversed; multi-shard waves
-//     acquire shard mutexes in ascending shard order.
+// Concurrency model (one index, one lock):
+//   - routing holds the index lock shared for the whole decision — policy
+//     route(), the up-check and failover — and never reads a node
+//     environment;
+//   - every node-state mutation (dispatch, janitor, the apply_* admin calls,
+//     spare admission) runs under the one dispatch mutex, and takes the
+//     index lock unique only around FleetIndex::update()/set_routable(), so
+//     readers never observe a node mid-step;
+//   - lock order is dispatch mutex -> inference mutex -> index lock, never
+//     reversed; the index lock is a leaf.
 //
 // Backpressure: a submit() that finds its queue at/above `degrade_depth` is
 // accepted *degraded* — it will be served with a forced cold start, skipping
@@ -33,8 +35,8 @@
 // from ONE admin thread (the spare-admission and fleet routable-set state is
 // not atomic; a single chaos driver concurrent with the workers is the
 // supported model, and what the TSan tests pin). Crash events admit cold
-// spares into the routable set via the sharded index, so recovery capacity
-// appears on the failover path without restarting the episode.
+// spares into the index's routable set, so recovery capacity appears on the
+// failover path without restarting the episode.
 #pragma once
 
 #include <atomic>
@@ -43,15 +45,16 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <vector>
 
 #include "faults/injector.hpp"
 #include "fleet/fleet_env.hpp"
+#include "fleet/fleet_index.hpp"
 #include "fleet/metrics.hpp"
+#include "fleet/router.hpp"
 #include "serve/clock.hpp"
-#include "serve/policy.hpp"
 #include "serve/queue.hpp"
-#include "serve/sharded_index.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mlcr::core {
@@ -65,8 +68,6 @@ class Telemetry;
 struct ServeConfig {
   /// Worker threads; each owns one ingestion queue (submit round-robins).
   std::size_t workers = 1;
-  /// Index/dispatch shards (clamped to the node count).
-  std::size_t shards = 1;
   /// Per-worker queue bound; a push into a full queue is rejected.
   std::size_t queue_capacity = 1024;
   /// Queue depth at/above which an accepted request is served degraded
@@ -112,7 +113,8 @@ class SchedulerService {
   /// schedule itself (run_replay's event merge, or the apply_* admin APIs
   /// live). `clock` is borrowed; `policy` is owned.
   SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
-                   std::unique_ptr<RoutePolicy> policy, ServeConfig config);
+                   std::unique_ptr<fleet::IndexRouter> policy,
+                   ServeConfig config);
   ~SchedulerService();
 
   SchedulerService(const SchedulerService&) = delete;
@@ -125,7 +127,7 @@ class SchedulerService {
   /// reported; a null telemetry pointer costs one predicted branch per site.
   void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Reset every node's streaming episode and scheduler, rebuild the sharded
+  /// Reset every node's streaming episode and scheduler, rebuild the
   /// index, create fresh queues, and zero the counters. Detects an MLCR
   /// fleet (all node schedulers are MlcrScheduler — mixed fleets are
   /// rejected) and switches dispatch to batched wave inference.
@@ -150,10 +152,10 @@ class SchedulerService {
   [[nodiscard]] ServeSummary finish_episode();
 
   /// Deterministic replay: run `trace` through the full service path —
-  /// sharded index, routing policy, per-node schedulers — single-threadedly
-  /// in arrival order, advancing the SimClock and the nodes' event cores
-  /// exactly as FleetEnv::run does. With an up-to-date index every policy
-  /// matches its fleet-router twin decision for decision, so the returned
+  /// index, routing policy, per-node schedulers — single-threadedly in
+  /// arrival order, advancing the SimClock and the nodes' event cores
+  /// exactly as FleetEnv::run does. Every policy makes the same decision
+  /// over an up-to-date index as FleetEnv::run's router, so the returned
   /// fleet summary equals FleetEnv::run's on a faultless plan (asserted in
   /// tests/serve). On a faulted plan the fleet's fault-event list is merged
   /// into the loop, firing before node advances at equal times. Requires a
@@ -179,12 +181,12 @@ class SchedulerService {
   std::size_t apply_domain_crash(std::size_t domain_id, bool partial = false);
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const RoutePolicy& policy() const noexcept { return *policy_; }
+  [[nodiscard]] const fleet::IndexRouter& policy() const noexcept {
+    return *policy_;
+  }
   [[nodiscard]] bool mlcr_mode() const noexcept { return mlcr_mode_; }
   /// Live counters (racy-but-monotone snapshot while workers run).
   [[nodiscard]] ServeStats stats() const;
-  /// The episode's index (requires an episode in progress).
-  [[nodiscard]] const ShardedFleetIndex& index() const;
 
  private:
   struct Request {
@@ -205,7 +207,7 @@ class SchedulerService {
   /// Returns the node served, or nullopt when the request was lost.
   std::optional<std::size_t> serve_one(const Request& req);
 
-  /// Offer/decide/step/observe on `target` under its shard mutex, then
+  /// Offer/decide/step/observe on `target` under the dispatch mutex, then
   /// refresh the index entry. Mirrors FleetEnv::dispatch. `rerouted` is
   /// routing context forwarded to telemetry. Returns false, touching
   /// nothing, when `target` went down after it was routed to.
@@ -230,14 +232,16 @@ class SchedulerService {
   void drain_queues_on_caller();
   void note_wave(std::size_t width);
 
-  /// Admit `spare` into the routable set: flip its index entry routable and
-  /// refresh it under the spare's shard mutex. Called after the crashed
-  /// node's shard lock is released (ascending-order discipline: the spare's
-  /// shard may rank below the crashed node's).
-  void admit_spare(std::size_t spare);
+  /// Re-derive `node`'s index entry under the unique index lock. Callers
+  /// hold the dispatch mutex, or run single-threaded.
+  void refresh_index(std::size_t node);
+
+  /// Admit `spare` into the routable set (index entry refreshed and flipped
+  /// routable) after a crash at `at`; counted and reported.
+  void admit_spare(std::size_t spare, double at);
 
   /// Replay-path twin of FleetEnv::fire_fault_event: fire one pre-planned
-  /// transition (single-threaded; no shard mutexes). `clamp` is the
+  /// transition (single-threaded; no dispatch mutex). `clamp` is the
   /// episode-tail mode — times clamp to the node clock and stale recoveries
   /// are skipped. Returns the spare admitted by a crash, if any.
   std::optional<std::size_t> apply_fault_event(
@@ -245,22 +249,25 @@ class SchedulerService {
 
   fleet::FleetEnv& fleet_;
   Clock& clock_;
-  std::unique_ptr<RoutePolicy> policy_;
+  std::unique_ptr<fleet::IndexRouter> policy_;
   ServeConfig config_;
   Telemetry* telemetry_ = nullptr;
 
   bool in_episode_ = false;
   bool mlcr_mode_ = false;
-  std::unique_ptr<ShardedFleetIndex> index_;
+  std::unique_ptr<fleet::FleetIndex> index_;
+  /// Guards index_: shared while routing, unique around its writes.
+  mutable std::shared_mutex index_mutex_;
   /// Per-node fault injectors on a faulted plan (empty otherwise); owned
   /// here because the service, not FleetEnv::run, drives the episode. The
   /// envs borrow them, so they detach at finish_episode().
   std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
   /// Per node: its scheduler as MlcrScheduler, set only in MLCR mode.
   std::vector<core::MlcrScheduler*> mlcr_;
-  /// unique_ptr: queues/mutexes are neither movable nor copyable.
+  /// unique_ptr: queues are neither movable nor copyable.
   std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
-  std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
+  /// Serializes every node-state mutation.
+  std::mutex dispatch_mutex_;
   /// Serializes forward_batch on the shared agent across workers.
   std::mutex inference_mutex_;
 

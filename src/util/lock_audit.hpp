@@ -2,9 +2,9 @@
 // contract (DESIGN.md §12). The static half is simlint's lock-discipline
 // checker (tools/simlint/locks.hpp); both encode the same declared order:
 //
-//   service shard mutexes (ascending shard)  rank 1'000'000 + shard
+//   service dispatch mutex                   rank 1'000'000
 //   inference mutex                          rank 2'000'000
-//   index shard locks                        rank 3'000'000 + shard
+//   service index lock (leaf)                rank 3'000'000
 //   telemetry window/trace mutex             rank 4'000'000
 //   metrics registry slot locks (leaves)     rank 5'000'000 + slot
 //
@@ -12,8 +12,8 @@
 // carry a rank strictly greater than everything the thread already holds —
 // equal is a double-acquisition, smaller is an ordering inversion; either
 // throws util::CheckError via MLCR_CHECK_MSG so tests can assert on it.
-// Releases may happen in any order (dispatch_wave's guard vector is
-// destroyed front-to-back), so released() erases by value, not by popping.
+// Releases may happen in any order (a vector of guards is destroyed
+// front-to-back), so released() erases by value, not by popping.
 //
 // The validator methods are always compiled — tests drive them directly —
 // but instrumentation call sites go through LockRankScope, whose body
@@ -35,23 +35,15 @@ namespace mlcr::util {
 
 namespace lock_ranks {
 
-inline constexpr std::uint64_t kServiceShardBase = 1'000'000;
+/// SchedulerService's dispatch mutex: every node-state mutation runs under
+/// it.
+inline constexpr std::uint64_t kDispatch = 1'000'000;
 inline constexpr std::uint64_t kInference = 2'000'000;
-inline constexpr std::uint64_t kIndexShardBase = 3'000'000;
+/// SchedulerService's index lock (shared for routing, unique around index
+/// writes). A leaf of the serving path: nothing ranked is acquired under it.
+inline constexpr std::uint64_t kIndex = 3'000'000;
 inline constexpr std::uint64_t kTelemetry = 4'000'000;
 inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
-
-/// Rank of SchedulerService's dispatch mutex for `shard` (ascending-index
-/// acquisition across a wave maps to ascending ranks).
-[[nodiscard]] constexpr std::uint64_t service_shard(std::size_t shard) {
-  return kServiceShardBase + shard;
-}
-
-/// Rank of ShardedFleetIndex's per-shard lock. Nothing in the serving path
-/// is acquired while one is held.
-[[nodiscard]] constexpr std::uint64_t index_shard(std::size_t shard) {
-  return kIndexShardBase + shard;
-}
 
 /// Rank of ConcurrentMetricsRegistry's per-slot lock — the leaves: with the
 /// top rank band, acquiring anything on top of one is an inversion by
@@ -78,10 +70,10 @@ class LockOrderValidator {
       MLCR_CHECK_MSG(h < rank, "lock-order audit: '"
                                    << name << "' (rank " << rank
                                    << ") acquired while holding rank " << h
-                                   << "; the declared order is service shard "
-                                      "mutexes (ascending) < inference mutex "
-                                      "< index shard locks < telemetry mutex "
-                                      "< registry slot locks");
+                                   << "; the declared order is dispatch mutex "
+                                      "< inference mutex < index lock "
+                                      "< telemetry mutex < registry slot "
+                                      "locks (ascending)");
     }
     stack.push_back(rank);
   }

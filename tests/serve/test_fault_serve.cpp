@@ -6,6 +6,7 @@
 // (the TSan CI job runs this suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <memory>
@@ -76,46 +77,58 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
   const sim::StartupCostModel cost = world.cost_model();
   const sim::Trace trace = make_trace(world, 60, 0.2);
 
-  fleet::FleetEnv reference_fleet = make_fleet(world, cost);
-  fleet::FailoverRouter router(std::make_unique<fleet::WarmAwareRouter>());
-  const fleet::FleetSummary reference = reference_fleet.run(trace, router);
-  // The schedule must actually exercise the §14 paths.
-  ASSERT_GE(reference.node_crashes, 4U);
-  ASSERT_EQ(reference.domain_crashes, 1U);
-  ASSERT_GE(reference.partial_crashes, 2U);
-  ASSERT_EQ(reference.spares_activated, 1U);
+  const auto routers = fleet::standard_routers();
+  for (const fleet::IndexRouterSpec& policy_spec :
+       fleet::standard_index_routers()) {
+    SCOPED_TRACE(policy_spec.name);
+    const auto router_spec =
+        std::find_if(routers.begin(), routers.end(),
+                     [&](const fleet::RouterSpec& r) {
+                       return r.name == policy_spec.name;
+                     });
+    ASSERT_NE(router_spec, routers.end());
 
-  fleet::FleetEnv replay_fleet = make_fleet(world, cost);
-  SimClock clock;
-  ServeConfig serve_cfg;
-  serve_cfg.shards = 3;
-  SchedulerService service(replay_fleet, clock,
-                           std::make_unique<WarmAwarePolicy>(), serve_cfg);
-  const ServeSummary replay = service.run_replay(trace);
+    fleet::FleetEnv reference_fleet = make_fleet(world, cost);
+    fleet::FailoverRouter router(router_spec->make());
+    const fleet::FleetSummary reference = reference_fleet.run(trace, router);
+    // The schedule must actually exercise the §14 paths.
+    ASSERT_GE(reference.node_crashes, 4U);
+    ASSERT_EQ(reference.domain_crashes, 1U);
+    ASSERT_GE(reference.partial_crashes, 2U);
+    ASSERT_EQ(reference.spares_activated, 1U);
 
-  // WarmAwarePolicy is the serving twin of the Warm-Aware router; the
-  // service's own reroute path mirrors FailoverRouter. Fault accounting
-  // and every scheduling outcome must agree.
-  EXPECT_EQ(replay.fleet.total.invocations, reference.total.invocations);
-  EXPECT_EQ(replay.fleet.total.cold_starts, reference.total.cold_starts);
-  EXPECT_EQ(replay.fleet.total.warm_l1, reference.total.warm_l1);
-  EXPECT_EQ(replay.fleet.total.warm_l2, reference.total.warm_l2);
-  EXPECT_EQ(replay.fleet.total.warm_l3, reference.total.warm_l3);
-  EXPECT_EQ(replay.fleet.total.failed, reference.total.failed);
-  EXPECT_EQ(replay.fleet.total.retries, reference.total.retries);
-  EXPECT_DOUBLE_EQ(replay.fleet.total.total_latency_s,
-                   reference.total.total_latency_s);
-  EXPECT_EQ(replay.fleet.lost, reference.lost);
-  EXPECT_EQ(replay.fleet.node_crashes, reference.node_crashes);
-  EXPECT_EQ(replay.fleet.node_recoveries, reference.node_recoveries);
-  EXPECT_EQ(replay.fleet.domain_crashes, reference.domain_crashes);
-  EXPECT_EQ(replay.fleet.partial_crashes, reference.partial_crashes);
-  EXPECT_EQ(replay.fleet.spares_activated, reference.spares_activated);
-  EXPECT_EQ(replay.stats.node_crashes, reference.node_crashes);
-  EXPECT_EQ(replay.stats.domain_crashes, reference.domain_crashes);
-  EXPECT_EQ(replay.stats.spares_activated, reference.spares_activated);
-  EXPECT_EQ(replay.stats.submitted,
-            replay.stats.routed + replay.stats.rejected + replay.stats.lost);
+    fleet::FleetEnv replay_fleet = make_fleet(world, cost);
+    SimClock clock;
+    ServeConfig serve_cfg;
+    SchedulerService service(replay_fleet, clock, policy_spec.make(),
+                             serve_cfg);
+    const ServeSummary replay = service.run_replay(trace);
+
+    // The service routes with the same policy class; its own reroute path
+    // mirrors FailoverRouter. Fault accounting and every scheduling outcome
+    // must agree.
+    EXPECT_EQ(replay.fleet.total.invocations, reference.total.invocations);
+    EXPECT_EQ(replay.fleet.total.cold_starts, reference.total.cold_starts);
+    EXPECT_EQ(replay.fleet.total.warm_l1, reference.total.warm_l1);
+    EXPECT_EQ(replay.fleet.total.warm_l2, reference.total.warm_l2);
+    EXPECT_EQ(replay.fleet.total.warm_l3, reference.total.warm_l3);
+    EXPECT_EQ(replay.fleet.total.failed, reference.total.failed);
+    EXPECT_EQ(replay.fleet.total.retries, reference.total.retries);
+    EXPECT_DOUBLE_EQ(replay.fleet.total.total_latency_s,
+                     reference.total.total_latency_s);
+    EXPECT_EQ(replay.fleet.lost, reference.lost);
+    EXPECT_EQ(replay.fleet.node_crashes, reference.node_crashes);
+    EXPECT_EQ(replay.fleet.node_recoveries, reference.node_recoveries);
+    EXPECT_EQ(replay.fleet.domain_crashes, reference.domain_crashes);
+    EXPECT_EQ(replay.fleet.partial_crashes, reference.partial_crashes);
+    EXPECT_EQ(replay.fleet.spares_activated, reference.spares_activated);
+    EXPECT_EQ(replay.stats.node_crashes, reference.node_crashes);
+    EXPECT_EQ(replay.stats.domain_crashes, reference.domain_crashes);
+    EXPECT_EQ(replay.stats.spares_activated, reference.spares_activated);
+    EXPECT_EQ(replay.stats.submitted, replay.stats.routed +
+                                          replay.stats.rejected +
+                                          replay.stats.lost);
+  }
 }
 
 TEST(ServeFaults, TwoCorrelatedReplaysAreByteIdentical) {
@@ -135,9 +148,8 @@ TEST(ServeFaults, TwoCorrelatedReplaysAreByteIdentical) {
     tcfg.registry_slots = 2;
     Telemetry telemetry(tcfg, &tracer);
     ServeConfig serve_cfg;
-    serve_cfg.shards = 2;
     SchedulerService service(fleet, clock,
-                             std::make_unique<WarmAwarePolicy>(), serve_cfg);
+                             std::make_unique<fleet::WarmAwareRouter>(), serve_cfg);
     service.set_telemetry(&telemetry);
     const ServeSummary summary = service.run_replay(trace);
     tracer.close();
@@ -170,9 +182,8 @@ TEST(ServeFaults, AdminApisKeepAccountingAndAdmitSpares) {
                             policies::make_greedy_match_system));
   SimClock clock;
   ServeConfig serve_cfg;
-  serve_cfg.shards = 2;
   SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
+                           std::make_unique<fleet::LeastOutstandingRouter>(),
                            serve_cfg);
   service.begin_episode();
   EXPECT_EQ(fleet.routable_count(), 6U);
@@ -215,10 +226,9 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   WallClock clock;
   ServeConfig serve_cfg;
   serve_cfg.workers = 3;
-  serve_cfg.shards = 3;
   serve_cfg.queue_capacity = 4096;
   SchedulerService service(fleet, clock,
-                           std::make_unique<WarmAwarePolicy>(), serve_cfg);
+                           std::make_unique<fleet::WarmAwareRouter>(), serve_cfg);
   service.begin_episode();
   service.start();
 

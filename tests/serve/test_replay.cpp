@@ -1,13 +1,15 @@
 // Deterministic replay: a SimClock-driven SchedulerService episode over a
-// fixed trace — routing via the sharded index, dispatch via the service's
-// shard-locked path — must reproduce FleetEnv::run's summary exactly, for
-// every standard routing policy and for an MLCR fleet. This is the pin that
-// says the serving subsystem adds concurrency machinery without changing a
-// single scheduling decision.
+// fixed trace — routing via the service's locked index, dispatch via its
+// dispatch-mutex path — must reproduce FleetEnv::run's summary exactly, for
+// every standard routing policy (with and without a cold spare that never
+// joins) and for an MLCR fleet. This is the pin that says the serving
+// subsystem adds concurrency machinery without changing a single scheduling
+// decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "core/mlcr.hpp"
 #include "fleet/fleet_env.hpp"
@@ -65,39 +67,45 @@ TEST(ServeReplay, MatchesFleetRunForEveryStandardPolicy) {
       fstartbench::make_overall_workload(bench, 200, trace_rng);
 
   const auto routers = fleet::standard_routers();
-  for (const PolicySpec& policy_spec : standard_policies()) {
-    SCOPED_TRACE(policy_spec.name);
-    const auto router_spec =
-        std::find_if(routers.begin(), routers.end(),
-                     [&](const fleet::RouterSpec& r) {
-                       return r.name == policy_spec.name;
-                     });
-    ASSERT_NE(router_spec, routers.end());
+  // A spare sits outside the routable set all episode (no fault admits
+  // it): no policy may ever pick it.
+  for (const std::size_t spares : {0U, 1U}) {
+    for (const fleet::IndexRouterSpec& policy_spec :
+         fleet::standard_index_routers()) {
+      SCOPED_TRACE(policy_spec.name + " with " + std::to_string(spares) +
+                   " spare(s)");
+      const auto router_spec =
+          std::find_if(routers.begin(), routers.end(),
+                       [&](const fleet::RouterSpec& r) {
+                         return r.name == policy_spec.name;
+                       });
+      ASSERT_NE(router_spec, routers.end());
 
-    fleet::FleetConfig cfg;
-    cfg.nodes = 4;
-    cfg.node_env.pool_capacity_mb = 1500.0;
-    fleet::FleetEnv fleet(
-        bench.functions, bench.catalog, cost, cfg,
-        fleet::uniform_system(policies::make_greedy_match_system));
+      fleet::FleetConfig cfg;
+      cfg.nodes = 4;
+      cfg.spare_nodes = spares;
+      cfg.node_env.pool_capacity_mb = 1500.0;
+      fleet::FleetEnv fleet(
+          bench.functions, bench.catalog, cost, cfg,
+          fleet::uniform_system(policies::make_greedy_match_system));
 
-    const auto router = router_spec->make();
-    const fleet::FleetSummary reference = fleet.run(trace, *router);
+      const auto router = router_spec->make();
+      const fleet::FleetSummary reference = fleet.run(trace, *router);
 
-    // Same FleetEnv, fresh episode: the service resets every node itself.
-    SimClock clock;
-    ServeConfig serve_cfg;
-    serve_cfg.workers = 2;  // irrelevant: replay is strictly sequential
-    serve_cfg.shards = 3;
-    SchedulerService service(fleet, clock, policy_spec.make(), serve_cfg);
-    const ServeSummary replay = service.run_replay(trace);
+      // Same FleetEnv, fresh episode: the service resets every node itself.
+      SimClock clock;
+      ServeConfig serve_cfg;
+      serve_cfg.workers = 2;  // irrelevant: replay is strictly sequential
+      SchedulerService service(fleet, clock, policy_spec.make(), serve_cfg);
+      const ServeSummary replay = service.run_replay(trace);
 
-    expect_summaries_equal(replay.fleet, reference);
-    EXPECT_EQ(replay.stats.submitted, trace.size());
-    EXPECT_EQ(replay.stats.routed + replay.stats.lost, trace.size());
-    EXPECT_EQ(replay.stats.rejected, 0U);
-    EXPECT_DOUBLE_EQ(clock.now_s(),
-                     trace.invocations().back().arrival_s);
+      expect_summaries_equal(replay.fleet, reference);
+      EXPECT_EQ(replay.stats.submitted, trace.size());
+      EXPECT_EQ(replay.stats.routed + replay.stats.lost, trace.size());
+      EXPECT_EQ(replay.stats.rejected, 0U);
+      EXPECT_DOUBLE_EQ(clock.now_s(),
+                       trace.invocations().back().arrival_s);
+    }
   }
 }
 
@@ -134,9 +142,8 @@ TEST(ServeReplay, MatchesFleetRunOnAnMlcrFleet) {
 
   SimClock clock;
   ServeConfig serve_cfg;
-  serve_cfg.shards = 2;
   SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
+                           std::make_unique<fleet::LeastOutstandingRouter>(),
                            serve_cfg);
   const ServeSummary replay = service.run_replay(trace);
   expect_summaries_equal(replay.fleet, reference);
@@ -153,7 +160,7 @@ TEST(ServeReplay, RequiresASimulatedClock) {
                         fleet::uniform_system(
                             policies::make_greedy_match_system));
   WallClock clock;
-  SchedulerService service(fleet, clock, std::make_unique<RoundRobinPolicy>(),
+  SchedulerService service(fleet, clock, std::make_unique<fleet::RoundRobinRouter>(),
                            ServeConfig{});
   const sim::Trace trace = TinyWorld::make_trace(
       {TinyWorld::inv(world.fn_py_flask, 0.0, 0.1)});

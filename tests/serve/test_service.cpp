@@ -1,6 +1,8 @@
 // SchedulerService: deterministic reject/degrade backpressure on the
 // single-threaded pump path, request conservation under concurrent
-// ingestion (runs under TSan in CI), and batched MLCR wave dispatch.
+// ingestion for every standard policy (runs under TSan in CI, so the
+// policies' own concurrent state — the Round-Robin cursor, the Random draw —
+// races against the index writers there), and batched MLCR wave dispatch.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 
 #include "core/mlcr.hpp"
 #include "fleet/fleet_env.hpp"
+#include "fleet/router.hpp"
 #include "policies/baselines.hpp"
 #include "testing/fixtures.hpp"
 
@@ -37,12 +40,11 @@ TEST(ServeService, DeterministicBackpressureAccounting) {
   SimClock clock;
   ServeConfig cfg;
   cfg.workers = 1;
-  cfg.shards = 2;
   cfg.queue_capacity = 8;
   cfg.degrade_depth = 4;
   cfg.batch = 8;
   SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(), cfg);
+                           std::make_unique<fleet::LeastOutstandingRouter>(), cfg);
   service.begin_episode();
 
   // 12 submissions into a queue of 8 with degradation from depth 4: the
@@ -80,11 +82,10 @@ TEST(ServeService, PumpIsDeterministicAcrossRuns) {
     SimClock clock;
     ServeConfig cfg;
     cfg.workers = 1;
-    cfg.shards = 3;
     cfg.queue_capacity = 64;
     cfg.batch = 4;
     SchedulerService service(fleet, clock,
-                             std::make_unique<WarmAwarePolicy>(), cfg);
+                             std::make_unique<fleet::WarmAwareRouter>(), cfg);
     service.begin_episode();
     const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
                                        world.fn_js};
@@ -108,50 +109,54 @@ TEST(ServeService, PumpIsDeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.routed, b.stats.routed);
 }
 
-/// Four producer threads against four workers: whatever interleaving the
-/// scheduler picks, every submission must land in exactly one of
-/// routed/rejected/lost, and the node metrics must account for every routed
-/// request (finish_episode() checks both invariants internally too).
+/// Four producer threads against four workers, for every standard policy:
+/// whatever interleaving the scheduler picks, every submission must land in
+/// exactly one of routed/rejected/lost, and the node metrics must account
+/// for every routed request (finish_episode() checks both invariants
+/// internally too).
 TEST(ServeService, ConcurrentIngestConservesRequests) {
   TinyWorld world;
   const sim::StartupCostModel cost = world.cost_model();
-  fleet::FleetEnv fleet = make_fleet(world, cost, 8);
-  WallClock clock;
-  ServeConfig cfg;
-  cfg.workers = 4;
-  cfg.shards = 4;
-  cfg.queue_capacity = 4096;
-  cfg.batch = 16;
-  SchedulerService service(fleet, clock, std::make_unique<WarmAwarePolicy>(),
-                           cfg);
-  service.begin_episode();
-  service.start();
+  for (const fleet::IndexRouterSpec& spec : fleet::standard_index_routers()) {
+    SCOPED_TRACE(spec.name);
+    fleet::FleetEnv fleet = make_fleet(world, cost, 8);
+    WallClock clock;
+    ServeConfig cfg;
+    cfg.workers = 4;
+    cfg.queue_capacity = 4096;
+    cfg.batch = 16;
+    SchedulerService service(fleet, clock, spec.make(), cfg);
+    service.begin_episode();
+    service.start();
 
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kPerProducer = 500;
-  const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
-                                     world.fn_js, world.fn_other_os};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        sim::Invocation inv = TinyWorld::inv(
-            fns[(p + i) % 4], 0.001 * static_cast<double>(i), 0.02);
-        inv.seq = p * kPerProducer + i;
-        (void)service.submit(inv);
-      }
-    });
+    constexpr std::size_t kProducers = 4;
+    constexpr std::size_t kPerProducer = 500;
+    const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
+                                       world.fn_js, world.fn_other_os};
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+          sim::Invocation inv = TinyWorld::inv(
+              fns[(p + i) % 4], 0.001 * static_cast<double>(i), 0.02);
+          inv.seq = p * kPerProducer + i;
+          (void)service.submit(inv);
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+
+    const ServeSummary summary = service.finish_episode();
+    EXPECT_EQ(summary.stats.submitted, kProducers * kPerProducer);
+    EXPECT_EQ(summary.stats.submitted, summary.stats.routed +
+                                           summary.stats.rejected +
+                                           summary.stats.lost);
+    EXPECT_EQ(summary.stats.lost, 0U);  // faultless fleet: no node ever down
+    EXPECT_EQ(summary.fleet.total.invocations, summary.stats.routed);
+    EXPECT_GT(summary.stats.batches, 0U);
+    EXPECT_EQ(summary.fleet.router, spec.name);
   }
-  for (auto& producer : producers) producer.join();
-
-  const ServeSummary summary = service.finish_episode();
-  EXPECT_EQ(summary.stats.submitted, kProducers * kPerProducer);
-  EXPECT_EQ(summary.stats.submitted,
-            summary.stats.routed + summary.stats.rejected + summary.stats.lost);
-  EXPECT_EQ(summary.stats.lost, 0U);  // faultless fleet: no node ever down
-  EXPECT_EQ(summary.fleet.total.invocations, summary.stats.routed);
-  EXPECT_GT(summary.stats.batches, 0U);
 }
 
 TEST(ServeService, MlcrFleetBatchesWavesThroughOneForwardPass) {
@@ -173,10 +178,9 @@ TEST(ServeService, MlcrFleetBatchesWavesThroughOneForwardPass) {
   SimClock clock;
   ServeConfig cfg;
   cfg.workers = 1;
-  cfg.shards = 2;
   cfg.queue_capacity = 64;
   cfg.batch = 4;
-  SchedulerService service(fleet, clock, std::make_unique<RoundRobinPolicy>(),
+  SchedulerService service(fleet, clock, std::make_unique<fleet::RoundRobinRouter>(),
                            cfg);
   service.begin_episode();
   EXPECT_TRUE(service.mlcr_mode());
@@ -216,7 +220,7 @@ TEST(ServeService, RejectsFleetsMixingMlcrAndHeuristicNodes) {
         return policies::make_greedy_match_system();
       });
   SimClock clock;
-  SchedulerService service(fleet, clock, std::make_unique<RoundRobinPolicy>(),
+  SchedulerService service(fleet, clock, std::make_unique<fleet::RoundRobinRouter>(),
                            ServeConfig{});
   EXPECT_THROW(service.begin_episode(), util::CheckError);
 }

@@ -88,9 +88,8 @@ ReplayArtifacts run_traced_replay(const TinyWorld& world,
 
   ServeConfig serve_cfg;
   serve_cfg.workers = 2;
-  serve_cfg.shards = 3;
   SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
+                           std::make_unique<fleet::LeastOutstandingRouter>(),
                            serve_cfg);
   service.set_telemetry(&telemetry);
 
@@ -202,7 +201,7 @@ TEST(ServeTelemetry, MetricsOnlyModeNeedsNoTracerOrRecorder) {
   SimClock clock;
   Telemetry telemetry;  // no tracer, no snapshot path
   SchedulerService service(fleet, clock,
-                           std::make_unique<RoundRobinPolicy>(),
+                           std::make_unique<fleet::RoundRobinRouter>(),
                            ServeConfig{});
   service.set_telemetry(&telemetry);
   const ServeSummary summary = service.run_replay(make_trace(world, 16));

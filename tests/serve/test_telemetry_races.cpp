@@ -122,10 +122,9 @@ TEST(ServeTelemetryRaces, LiveServiceWithTelemetryConservesAccounting) {
 
   ServeConfig cfg;
   cfg.workers = 4;
-  cfg.shards = 4;
   cfg.queue_capacity = 4096;
   cfg.batch = 16;
-  SchedulerService service(fleet, clock, std::make_unique<WarmAwarePolicy>(),
+  SchedulerService service(fleet, clock, std::make_unique<fleet::WarmAwareRouter>(),
                            cfg);
   service.set_telemetry(&telemetry);
   service.begin_episode();

@@ -31,30 +31,24 @@ std::set<std::string> rule_set(const std::vector<Violation>& violations) {
 TEST(SimlintLocks, DeclaredTableMatchesTheRuntimeRankOrder) {
   const std::vector<MutexRankInfo>& table = lock_order_table();
   ASSERT_EQ(table.size(), 5U);
-  EXPECT_EQ(table[0].key, "shard_mutexes_");
-  EXPECT_TRUE(table[0].indexed);
+  EXPECT_EQ(table[0].key, "dispatch_mutex_");
   EXPECT_FALSE(table[0].leaf);
   EXPECT_EQ(table[1].key, "inference_mutex_");
-  EXPECT_FALSE(table[1].indexed);
-  EXPECT_EQ(table[2].key, "Shard::mutex");
+  EXPECT_FALSE(table[1].leaf);
+  EXPECT_EQ(table[2].key, "index_mutex_");
   EXPECT_TRUE(table[2].leaf);
   EXPECT_EQ(table[3].key, "telemetry_mutex_");
-  EXPECT_FALSE(table[3].indexed);
   EXPECT_FALSE(table[3].leaf);
   EXPECT_EQ(table[4].key, "slot_mutex_");
-  EXPECT_FALSE(table[4].indexed);
   EXPECT_TRUE(table[4].leaf);
-  // Static ranks ascend in the same order as the runtime rank bands
-  // (service shards < inference < index shards < telemetry < registry
-  // slots) — the two halves of the concurrency contract must never drift
-  // apart.
+  // Static ranks ascend in the same order as the runtime ranks (dispatch <
+  // inference < index < telemetry < registry slots) — the two halves of the
+  // concurrency contract must never drift apart.
   for (std::size_t i = 1; i < table.size(); ++i)
     EXPECT_LT(table[i - 1].rank, table[i].rank) << table[i].key;
-  EXPECT_LT(util::lock_ranks::service_shard(1'000),
-            util::lock_ranks::kInference);
-  EXPECT_LT(util::lock_ranks::kInference, util::lock_ranks::index_shard(0));
-  EXPECT_LT(util::lock_ranks::index_shard(999'999),
-            util::lock_ranks::kTelemetry);
+  EXPECT_LT(util::lock_ranks::kDispatch, util::lock_ranks::kInference);
+  EXPECT_LT(util::lock_ranks::kInference, util::lock_ranks::kIndex);
+  EXPECT_LT(util::lock_ranks::kIndex, util::lock_ranks::kTelemetry);
   EXPECT_LT(util::lock_ranks::kTelemetry, util::lock_ranks::registry_slot(0));
 }
 
@@ -62,7 +56,7 @@ TEST(SimlintLocks, MacroBodiesCarryNoAcquisitionFacts) {
   const auto violations = run(
       "#define BAD(i)                                   \\\n"
       "  std::lock_guard a(inference_mutex_);           \\\n"
-      "  std::lock_guard b(*shard_mutexes_[i])\n"
+      "  std::lock_guard b(dispatch_mutex_)\n"
       "void fine() { std::lock_guard only(inference_mutex_); }\n");
   EXPECT_TRUE(violations.empty());
 }
@@ -71,7 +65,7 @@ TEST(SimlintLocks, RawStringsAndCommentsCarryNoAcquisitionFacts) {
   const auto violations = run(
       "const char* doc = R\"(\n"
       "  std::lock_guard a(inference_mutex_);\n"
-      "  std::lock_guard b(*shard_mutexes_[0]);\n"
+      "  std::lock_guard b(dispatch_mutex_);\n"
       ")\";\n"
       "// inference_mutex_.lock();\n");
   EXPECT_TRUE(violations.empty());
@@ -81,7 +75,7 @@ TEST(SimlintLocks, DeferLockAcquiresNothing) {
   const auto violations = run(
       "void f() {\n"
       "  std::unique_lock a(inference_mutex_, std::defer_lock);\n"
-      "  std::lock_guard b(*shard_mutexes_[0]);\n"
+      "  std::lock_guard b(dispatch_mutex_);\n"
       "}\n");
   EXPECT_TRUE(violations.empty());
 }
@@ -92,7 +86,7 @@ TEST(SimlintLocks, ScopedLockArgumentsAreSequentialAcquisitions) {
   EXPECT_EQ(rule_set(doubled), std::set<std::string>{"lock-double"});
   const auto ordered = run(
       "void f() {\n"
-      "  std::scoped_lock l(*shard_mutexes_[0], inference_mutex_);\n"
+      "  std::scoped_lock l(dispatch_mutex_, inference_mutex_);\n"
       "}\n");
   EXPECT_TRUE(ordered.empty());
 }
@@ -106,27 +100,6 @@ TEST(SimlintLocks, GuardsReleaseAtScopeExitAcrossFunctions) {
       "}\n"
       "void g() { std::lock_guard c(inference_mutex_); }\n");
   EXPECT_TRUE(violations.empty());
-}
-
-TEST(SimlintLocks, SortUniqueEvidenceIsPerFunction) {
-  // sort+unique in an earlier function must not excuse a later loop.
-  const auto violations = run(
-      "void good(std::vector<std::size_t> shards) {\n"
-      "  std::sort(shards.begin(), shards.end());\n"
-      "  shards.erase(std::unique(shards.begin(), shards.end()),\n"
-      "               shards.end());\n"
-      "  std::vector<std::unique_lock<std::mutex>> locks;\n"
-      "  for (const std::size_t s : shards)\n"
-      "    locks.emplace_back(*shard_mutexes_[s]);\n"
-      "}\n"
-      "void bad(const std::vector<std::size_t>& shards) {\n"
-      "  std::vector<std::unique_lock<std::mutex>> locks;\n"
-      "  for (const std::size_t s : shards)\n"
-      "    locks.emplace_back(*shard_mutexes_[s]);\n"
-      "}\n");
-  ASSERT_EQ(violations.size(), 1U);
-  EXPECT_EQ(violations[0].rule, "lock-loop");
-  EXPECT_EQ(violations[0].line, 12U);
 }
 
 TEST(SimlintLocks, UnrankedMutexesGetDoubleAndBareChecksOnly) {

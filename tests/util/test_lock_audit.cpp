@@ -24,24 +24,24 @@ class LockAuditTest : public ::testing::Test {
 };
 
 TEST_F(LockAuditTest, AscendingAcquisitionIsLegal) {
-  LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
-  LockOrderValidator::acquired(lock_ranks::service_shard(3), "shard 3");
+  LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
   LockOrderValidator::acquired(lock_ranks::kInference, "inference");
-  LockOrderValidator::acquired(lock_ranks::index_shard(1), "index 1");
-  EXPECT_EQ(LockOrderValidator::held_count(), 4U);
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(0), "slot 0");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(3), "slot 3");
+  EXPECT_EQ(LockOrderValidator::held_count(), 5U);
 }
 
 TEST_F(LockAuditTest, DescendingAcquisitionThrows) {
   LockOrderValidator::acquired(lock_ranks::kInference, "inference");
-  EXPECT_THROW(
-      LockOrderValidator::acquired(lock_ranks::service_shard(2), "shard 2"),
-      CheckError);
+  EXPECT_THROW(LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch"),
+               CheckError);
 }
 
 TEST_F(LockAuditTest, DoubleAcquisitionThrowsWithADistinctMessage) {
-  LockOrderValidator::acquired(lock_ranks::service_shard(5), "shard 5");
+  LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
   try {
-    LockOrderValidator::acquired(lock_ranks::service_shard(5), "shard 5");
+    LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
     FAIL() << "double acquisition must throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("acquired twice"), std::string::npos);
@@ -49,7 +49,7 @@ TEST_F(LockAuditTest, DoubleAcquisitionThrowsWithADistinctMessage) {
 }
 
 TEST_F(LockAuditTest, InversionMessageNamesTheDeclaredOrder) {
-  LockOrderValidator::acquired(lock_ranks::index_shard(0), "index 0");
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
   try {
     LockOrderValidator::acquired(lock_ranks::kInference, "inference");
     FAIL() << "inversion must throw";
@@ -59,26 +59,26 @@ TEST_F(LockAuditTest, InversionMessageNamesTheDeclaredOrder) {
 }
 
 TEST_F(LockAuditTest, OutOfLifoReleaseIsLegal) {
-  // dispatch_wave's guard vector destroys front-to-back: releases arrive in
-  // acquisition order, not reverse order.
-  LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
-  LockOrderValidator::acquired(lock_ranks::service_shard(1), "shard 1");
-  LockOrderValidator::acquired(lock_ranks::service_shard(2), "shard 2");
-  LockOrderValidator::released(lock_ranks::service_shard(0));
-  LockOrderValidator::released(lock_ranks::service_shard(1));
+  // A guard vector destroys front-to-back: releases arrive in acquisition
+  // order, not reverse order.
+  LockOrderValidator::acquired(lock_ranks::registry_slot(0), "slot 0");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(1), "slot 1");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(2), "slot 2");
+  LockOrderValidator::released(lock_ranks::registry_slot(0));
+  LockOrderValidator::released(lock_ranks::registry_slot(1));
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
-  // With shard 2 still held, a lower rank is still an inversion.
+  // With slot 2 still held, a lower rank is still an inversion.
   EXPECT_THROW(
-      LockOrderValidator::acquired(lock_ranks::service_shard(1), "shard 1"),
+      LockOrderValidator::acquired(lock_ranks::registry_slot(1), "slot 1"),
       CheckError);
-  LockOrderValidator::released(lock_ranks::service_shard(2));
+  LockOrderValidator::released(lock_ranks::registry_slot(2));
   EXPECT_EQ(LockOrderValidator::held_count(), 0U);
 }
 
 TEST_F(LockAuditTest, ReleasingAnUnheldRankIsIgnored) {
   LockOrderValidator::released(lock_ranks::kInference);
   EXPECT_EQ(LockOrderValidator::held_count(), 0U);
-  LockOrderValidator::acquired(lock_ranks::service_shard(7), "shard 7");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(7), "slot 7");
   LockOrderValidator::released(lock_ranks::kInference);
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 }
@@ -86,31 +86,33 @@ TEST_F(LockAuditTest, ReleasingAnUnheldRankIsIgnored) {
 TEST_F(LockAuditTest, ReacquisitionAfterReleaseIsLegal) {
   LockOrderValidator::acquired(lock_ranks::kInference, "inference");
   LockOrderValidator::released(lock_ranks::kInference);
-  LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
+  LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
   LockOrderValidator::acquired(lock_ranks::kInference, "inference");
   EXPECT_EQ(LockOrderValidator::held_count(), 2U);
 }
 
 TEST_F(LockAuditTest, HeldStacksAreThreadLocal) {
-  LockOrderValidator::acquired(lock_ranks::index_shard(4), "index 4");
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
   // Another thread starts empty: acquiring a rank far below what this
   // thread holds is legal there.
   std::thread other([] {
     EXPECT_EQ(LockOrderValidator::held_count(), 0U);
-    LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
+    LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
     EXPECT_EQ(LockOrderValidator::held_count(), 1U);
-    LockOrderValidator::released(lock_ranks::service_shard(0));
+    LockOrderValidator::released(lock_ranks::kDispatch);
   });
   other.join();
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 }
 
 TEST_F(LockAuditTest, RankBandsKeepTheThreeFamiliesDisjoint) {
-  // A service fleet would need a million shards to collide with the
-  // inference rank; treat the bands as the contract.
-  EXPECT_LT(lock_ranks::service_shard(999'999), lock_ranks::kInference);
-  EXPECT_LT(lock_ranks::kInference, lock_ranks::index_shard(0));
-  EXPECT_LT(lock_ranks::index_shard(0), lock_ranks::index_shard(1));
+  // The single service locks sit strictly below the registry slot family,
+  // whose members ascend by slot; treat the order as the contract.
+  EXPECT_LT(lock_ranks::kDispatch, lock_ranks::kInference);
+  EXPECT_LT(lock_ranks::kInference, lock_ranks::kIndex);
+  EXPECT_LT(lock_ranks::kIndex, lock_ranks::kTelemetry);
+  EXPECT_LT(lock_ranks::kTelemetry, lock_ranks::registry_slot(0));
+  EXPECT_LT(lock_ranks::registry_slot(0), lock_ranks::registry_slot(1));
 }
 
 TEST_F(LockAuditTest, LockRankScopeMatchesTheBuildMode) {
@@ -127,7 +129,7 @@ TEST_F(LockAuditTest, LockRankScopeMatchesTheBuildMode) {
 }
 
 TEST_F(LockAuditTest, MovedFromScopeDoesNotDoubleRelease) {
-  LockRankScope outer(lock_ranks::service_shard(0), "shard 0");
+  LockRankScope outer(lock_ranks::kDispatch, "dispatch");
   {
     const LockRankScope inner(std::move(outer));
 #if MLCR_AUDIT_ENABLED
@@ -137,7 +139,7 @@ TEST_F(LockAuditTest, MovedFromScopeDoesNotDoubleRelease) {
   // inner released the rank; outer's destructor must not release again
   // (visible as held_count going "negative" via erase of a fresh rank).
   EXPECT_EQ(LockOrderValidator::held_count(), 0U);
-  LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
+  LockOrderValidator::acquired(lock_ranks::kDispatch, "dispatch");
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 }
 

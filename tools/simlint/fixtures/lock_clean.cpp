@@ -1,47 +1,28 @@
 // Clean lock-discipline fixture: the blessed acquisition patterns from
-// SchedulerService and ShardedFleetIndex must produce zero violations.
-#include <algorithm>
-#include <memory>
+// SchedulerService must produce zero violations.
 #include <mutex>
 #include <shared_mutex>
-#include <vector>
-
-struct Shard {
-  mutable std::shared_mutex mutex;
-};
 
 class GoodService {
  public:
-  // Ascending ranks: shard mutex (10), then inference mutex (20).
-  void dispatch_one(std::size_t s) {
-    std::lock_guard lock(*shard_mutexes_[s]);
+  // Ascending ranks: dispatch mutex (10), then inference mutex (20).
+  void dispatch_wave() {
+    std::lock_guard lock(dispatch_mutex_);
     std::lock_guard inference_lock(inference_mutex_);
   }
 
-  // The wave pattern: sort + dedup the shard list, accumulate guards in
-  // ascending order, then take the inference mutex on top.
-  void dispatch_wave(std::vector<std::size_t> shards) {
-    std::sort(shards.begin(), shards.end());
-    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards.size());
-    for (const std::size_t shard : shards)
-      locks.emplace_back(*shard_mutexes_[shard]);
-    std::lock_guard inference_lock(inference_mutex_);
-  }
-
-  // Leaf locks held one at a time, released before the next iteration.
-  void query() const {
-    for (const auto& shard : shards_) {
-      std::shared_lock lock(shard->mutex);
+  // The index lock (30) is a leaf, taken on top of the dispatch mutex only
+  // around an index write, and released before anything else.
+  void refresh() {
+    std::lock_guard lock(dispatch_mutex_);
+    {
+      std::unique_lock index_lock(index_mutex_);
     }
+    std::lock_guard inference_lock(inference_mutex_);
   }
 
-  // Ascending literal indexes within the family are legal.
-  void ascending_literals() {
-    std::lock_guard low(*shard_mutexes_[0]);
-    std::lock_guard high(*shard_mutexes_[1]);
-  }
+  // Routing holds the index lock shared, alone.
+  void route() const { std::shared_lock lock(index_mutex_); }
 
   // defer_lock acquires nothing, so no ordering fact is recorded.
   void deferred(std::mutex& m) {
@@ -49,7 +30,7 @@ class GoodService {
   }
 
  private:
-  std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex dispatch_mutex_;
   std::mutex inference_mutex_;
+  mutable std::shared_mutex index_mutex_;
 };

@@ -1,48 +1,36 @@
 // Lock-discipline fixture: each marked line must fire exactly its rule.
 // Linted as src/serve/lock_discipline.cpp, but the lock rules are tree-wide;
-// the shapes below mirror SchedulerService / ShardedFleetIndex locking.
+// the shapes below mirror SchedulerService locking.
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
 
-struct Shard {
-  mutable std::shared_mutex mutex;
-};
-
 class BadService {
  public:
   // Rank inversion: the inference mutex (rank 20) may only be taken after
-  // the shard mutexes (rank 10) it coordinates with.
-  void inference_then_shard(std::size_t s) {
+  // the dispatch mutex (rank 10) it coordinates with.
+  void inference_then_dispatch() {
     std::lock_guard inference_lock(inference_mutex_);
-    std::lock_guard shard_lock(*shard_mutexes_[s]);  // VIOLATION lock-order
+    std::lock_guard dispatch_lock(dispatch_mutex_);  // VIOLATION lock-order
   }
 
   // Same mutex twice on one path self-deadlocks a non-recursive mutex.
-  void same_shard_twice() {
-    std::lock_guard first(*shard_mutexes_[0]);
-    std::lock_guard again(*shard_mutexes_[0]);  // VIOLATION lock-double
+  void dispatch_twice() {
+    std::lock_guard first(dispatch_mutex_);
+    std::lock_guard again(dispatch_mutex_);  // VIOLATION lock-double
   }
 
-  // Indexed-family members must be taken in ascending index order.
-  void descending_literals() {
-    std::lock_guard high(*shard_mutexes_[1]);
-    std::lock_guard low(*shard_mutexes_[0]);  // VIOLATION lock-order
-  }
-
-  // Accumulating family locks in a loop without sorting + deduplicating the
-  // indexes first: two workers with interleaved shard lists deadlock.
-  void unsorted_wave(const std::vector<std::size_t>& shards) {
+  // Guards accumulated in a container are acquisitions too.
+  void accumulated() {
     std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards.size());
-    for (const std::size_t s : shards)
-      locks.emplace_back(*shard_mutexes_[s]);  // VIOLATION lock-loop
+    locks.emplace_back(inference_mutex_);
+    locks.emplace_back(dispatch_mutex_);  // VIOLATION lock-order
   }
 
-  // Index shard locks are leaves: nothing may be acquired under one.
-  void under_leaf(Shard& shard) {
-    std::shared_lock lock(shard.mutex);
+  // The index lock is a leaf: nothing may be acquired under it.
+  void under_leaf() {
+    std::shared_lock lock(index_mutex_);
     std::lock_guard inference_lock(inference_mutex_);  // VIOLATION lock-order
   }
 
@@ -53,6 +41,7 @@ class BadService {
   }
 
  private:
-  std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
+  std::mutex dispatch_mutex_;
   std::mutex inference_mutex_;
+  mutable std::shared_mutex index_mutex_;
 };

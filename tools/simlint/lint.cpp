@@ -549,14 +549,11 @@ const std::vector<RuleInfo>& rules() {
                    "MLCR_CHECK / assert on its placement inputs"});
     out.push_back({"lock-order",
                    "lock acquisition that violates the declared lock-order "
-                   "table (rank-descending, descending indexed-family "
-                   "indexes, or anything acquired over a leaf lock)"});
+                   "table (rank-descending, or anything acquired over a "
+                   "leaf lock)"});
     out.push_back({"lock-double",
                    "a mutex acquired again while already held on the same "
                    "code path"});
-    out.push_back({"lock-loop",
-                   "indexed-family locks accumulated in a loop without prior "
-                   "sort+unique of the indexes (ascending-order evidence)"});
     out.push_back({"bare-lock",
                    ".lock()/.unlock()/.try_lock() called directly on a mutex "
                    "instead of through an RAII guard"});

@@ -1,7 +1,6 @@
 #include "simlint/locks.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -11,7 +10,6 @@ namespace {
 
 constexpr char kOrderId[] = "lock-order";
 constexpr char kDoubleId[] = "lock-double";
-constexpr char kLoopId[] = "lock-loop";
 constexpr char kBareId[] = "bare-lock";
 
 [[nodiscard]] bool is_raii_guard(const std::string& t) {
@@ -38,11 +36,8 @@ constexpr char kBareId[] = "bare-lock";
 
 /// One extracted acquisition target.
 struct MutexRef {
-  std::string key;  ///< normalized identity ("shard_mutexes_[0]", ...)
+  std::string key;  ///< normalized identity ("dispatch_mutex_", ...)
   const MutexRankInfo* info = nullptr;  ///< table row, if the mutex is ranked
-  std::string index;                    ///< indexed-family subscript text
-  bool literal_index = false;
-  long literal_value = 0;
 };
 
 }  // namespace
@@ -51,11 +46,11 @@ const std::vector<MutexRankInfo>& lock_order_table() {
   // DESIGN.md §12 "Concurrency contract": the serving layer's declared order,
   // mirrored at runtime by util::lock_ranks (src/util/lock_audit.hpp).
   static const std::vector<MutexRankInfo> kTable = {
-      {"shard_mutexes_", 10, /*indexed=*/true, /*leaf=*/false},
-      {"inference_mutex_", 20, /*indexed=*/false, /*leaf=*/false},
-      {"Shard::mutex", 30, /*indexed=*/false, /*leaf=*/true},
-      {"telemetry_mutex_", 40, /*indexed=*/false, /*leaf=*/false},
-      {"slot_mutex_", 50, /*indexed=*/false, /*leaf=*/true},
+      {"dispatch_mutex_", 10, /*leaf=*/false},
+      {"inference_mutex_", 20, /*leaf=*/false},
+      {"index_mutex_", 30, /*leaf=*/true},
+      {"telemetry_mutex_", 40, /*leaf=*/false},
+      {"slot_mutex_", 50, /*leaf=*/true},
   };
   return kTable;
 }
@@ -101,66 +96,23 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
     std::string joined;
     std::string prev_ident;
     std::string member;
-    std::string receiver;
     bool any_ident = false;
     for (std::size_t i = b; i < e && i < n; ++i) {
       joined += toks[i].text;
       if (toks[i].kind == Token::Kind::kIdent) {
         any_ident = true;
-        if (ref.info == nullptr) {
-          for (const MutexRankInfo& row : lock_order_table()) {
-            if (!row.indexed || toks[i].text != row.key) continue;
-            ref.info = &row;
-            if (i + 1 < e && text(i + 1) == "[") {
-              const std::size_t close = match_group(i + 1, "[", "]");
-              for (std::size_t k = i + 2; k < close && k < e; ++k)
-                ref.index += toks[k].text;
-              if (close == i + 3 &&
-                  toks[i + 2].kind == Token::Kind::kNumber) {
-                ref.literal_index = true;
-                ref.literal_value =
-                    std::strtol(toks[i + 2].text.c_str(), nullptr, 0);
-              }
-            }
-            ref.key = row.key + "[" + ref.index + "]";
-          }
-        }
         prev_ident = toks[i].text;
       } else if ((toks[i].text == "." || toks[i].text == "->") &&
                  i + 1 < e && is_ident(i + 1)) {
-        // Receiver of the member access: the identifier just before the
-        // operator, skipping a balanced subscript (`shards_[s]->mutex`).
-        std::size_t r = i;
-        while (r > b && text(r - 1) == "]") {
-          int d2 = 0;
-          while (r > b) {
-            --r;
-            if (text(r) == "]") ++d2;
-            if (text(r) == "[") {
-              --d2;
-              if (d2 == 0) break;
-            }
-          }
-        }
-        if (r > b && is_ident(r - 1)) receiver = toks[r - 1].text;
         member = toks[i + 1].text;
       }
     }
     if (!any_ident) return std::nullopt;
-    if (ref.info != nullptr) return ref;
     const std::string name = member.empty() ? prev_ident : member;
     for (const MutexRankInfo& row : lock_order_table()) {
-      if (!row.indexed && row.key == name) {
+      if (row.key == name) {
         ref.info = &row;
         ref.key = name;
-        return ref;
-      }
-    }
-    if (name == "mutex" && receiver.find("shard") != std::string::npos) {
-      for (const MutexRankInfo& row : lock_order_table()) {
-        if (row.key != "Shard::mutex") continue;
-        ref.info = &row;
-        ref.key = row.key;
         return ref;
       }
     }
@@ -183,26 +135,14 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
   std::vector<Violation> out;
   std::vector<Live> live;
   std::vector<LockContainer> containers;
-  std::vector<int> loop_brace_depths;  ///< brace depths of open loop bodies
-  std::vector<std::size_t> pending_loop_bodies;  ///< token index of body '{'
-  int braceless_loops = 0;
   int depth = 0;
-  int paren_depth = 0;
-  bool in_function = false;
-  int function_body_depth = 0;
-  bool seen_sort = false;
-  bool seen_unique = false;
 
   const auto note = [&](const char* rule, std::size_t line, std::string msg) {
     out.push_back({rel_path, line, rule, std::move(msg)});
   };
 
   const auto acquire = [&](const MutexRef& ref, int at_depth,
-                           std::size_t line, bool dedup_family) {
-    if (dedup_family) {
-      for (const Live& l : live)
-        if (l.ref.info == ref.info && l.ref.index == "<loop>") return;
-    }
+                           std::size_t line) {
     for (const Live& l : live) {
       if (ref.key.empty() || l.ref.key != ref.key) continue;
       note(kDoubleId, line,
@@ -232,26 +172,9 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
                    ") acquired while holding '" + l.ref.key + "' (rank " +
                    std::to_string(l.ref.info->rank) + ", line " +
                    std::to_string(l.line) +
-                   "); the declared order is shard_mutexes_[i asc] < "
-                   "inference_mutex_ < Shard::mutex < telemetry_mutex_ < "
+                   "); the declared order is dispatch_mutex_ < "
+                   "inference_mutex_ < index_mutex_ < telemetry_mutex_ < "
                    "slot_mutex_");
-          break;
-        }
-        if (l.ref.info == ref.info && ref.info->indexed) {
-          if (l.ref.literal_index && ref.literal_index) {
-            if (ref.literal_value < l.ref.literal_value)
-              note(kOrderId, line,
-                   "'" + ref.key + "' acquired after '" + l.ref.key +
-                       "' (line " + std::to_string(l.line) +
-                       "); members of an indexed family must be taken in "
-                       "ascending index order");
-          } else {
-            note(kOrderId, line,
-                 "two members of '" + ref.info->key +
-                     "' held with indexes that cannot be proven ascending; "
-                     "collect the indexes, sort+dedup them, and lock in "
-                     "ascending order");
-          }
           break;
         }
       }
@@ -293,30 +216,15 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
     return false;
   };
 
-  const auto in_loop = [&] {
-    return !loop_brace_depths.empty() || braceless_loops > 0;
-  };
-
   // --- walk --------------------------------------------------------------
 
   for (std::size_t i = 0; i < n; ++i) {
     const Token& t = toks[i];
 
     if (t.kind == Token::Kind::kPunct) {
-      const std::string& s = t.text;
-      if (s == "(" || s == "[") {
-        ++paren_depth;
-      } else if (s == ")" || s == "]") {
-        if (paren_depth > 0) --paren_depth;
-      } else if (s == "{") {
+      if (t.text == "{") {
         ++depth;
-        const auto it = std::find(pending_loop_bodies.begin(),
-                                  pending_loop_bodies.end(), i);
-        if (it != pending_loop_bodies.end()) {
-          loop_brace_depths.push_back(depth);
-          pending_loop_bodies.erase(it);
-        }
-      } else if (s == "}") {
+      } else if (t.text == "}") {
         --depth;
         live.erase(std::remove_if(live.begin(), live.end(),
                                   [&](const Live& l) {
@@ -328,87 +236,12 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
                                           return c.depth > depth;
                                         }),
                          containers.end());
-        while (!loop_brace_depths.empty() &&
-               loop_brace_depths.back() > depth)
-          loop_brace_depths.pop_back();
-        if (in_function && depth < function_body_depth) {
-          in_function = false;
-          seen_sort = false;
-          seen_unique = false;
-          braceless_loops = 0;
-        }
-      } else if (s == ";") {
-        if (paren_depth == 0) braceless_loops = 0;
       }
       continue;
     }
 
     if (t.kind != Token::Kind::kIdent) continue;
     const std::string& s = t.text;
-
-    // Ascending-order evidence for the loop rule (std::sort + std::unique
-    // over the index container before the locking loop).
-    if (s == "sort") seen_sort = true;
-    if (s == "unique") seen_unique = true;
-
-    // Loop heads: remember where the body starts so guard lifetimes and the
-    // accumulation rule know they are inside a loop. The head's own tokens
-    // are scanned normally (a lock fact inside a condition still counts).
-    if ((s == "for" || s == "while") && text(i + 1) == "(") {
-      const std::size_t head_end = match_group(i + 1, "(", ")");
-      if (head_end < n) {
-        if (text(head_end + 1) == "{")
-          pending_loop_bodies.push_back(head_end + 1);
-        else
-          ++braceless_loops;
-      }
-      continue;
-    }
-    if (s == "do" && text(i + 1) == "{") {
-      pending_loop_bodies.push_back(i + 1);
-      continue;
-    }
-
-    // Function boundary: a `name(...)` head followed (after qualifiers,
-    // trailing return, or a ctor init list) by `{` opens a function body;
-    // evidence flags reset per function.
-    if (!in_function && text(i + 1) == "(" && !is_raii_guard(s) &&
-        s != "if" && s != "switch" && s != "catch" && s != "return" &&
-        s != "sizeof") {
-      const std::size_t close = match_group(i + 1, "(", ")");
-      std::size_t k = close + 1;
-      bool body = false;
-      while (k < n) {
-        const std::string& q = text(k);
-        if (q == "{") {
-          body = true;
-          break;
-        }
-        if (q == "const" || q == "noexcept" || q == "override" ||
-            q == "final" || q == "mutable" || q == "&" || q == "&&" ||
-            q == "::" || q == "->" || q == "," || q == ":" || q == "<" ||
-            q == ">" || q == "*" || toks[k].kind == Token::Kind::kIdent) {
-          if (q == "noexcept" && text(k + 1) == "(") {
-            k = match_group(k + 1, "(", ")") + 1;
-            continue;
-          }
-          ++k;
-          continue;
-        }
-        if (q == "(") {  // ctor init list member initializer
-          k = match_group(k, "(", ")") + 1;
-          continue;
-        }
-        break;  // ';', '=', ... — a declaration, not a definition
-      }
-      if (body) {
-        in_function = true;
-        function_body_depth = depth + 1;
-        seen_sort = false;
-        seen_unique = false;
-      }
-      // fall through: the head tokens still get scanned normally
-    }
 
     // RAII guard declaration: lock_guard/unique_lock/shared_lock/scoped_lock
     // [<...>] name ( args ) — the acquisition facts.
@@ -432,8 +265,7 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
           for (std::size_t a = 0; a < arg_count; ++a) {
             const auto& [b, e] = args[a];
             if (span_has_ident(b, e, "adopt_lock")) continue;
-            if (auto ref = classify(b, e))
-              acquire(*ref, depth, t.line, /*dedup_family=*/false);
+            if (auto ref = classify(b, e)) acquire(*ref, depth, t.line);
           }
         }
       }
@@ -464,30 +296,8 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
         const std::size_t close = match_group(i + 3, "(", ")");
         const auto args = split_args(i + 3, close);
         if (!args.empty()) {
-          if (auto ref = classify(args[0].first, args[0].second)) {
-            const bool accumulating_family = in_loop() &&
-                                             ref->info != nullptr &&
-                                             ref->info->indexed &&
-                                             !ref->literal_index;
-            if (accumulating_family) {
-              if (!seen_sort || !seen_unique) {
-                note(kLoopId, t.line,
-                     "locking members of '" + ref->info->key +
-                         "' in a loop without first sorting and deduplicating "
-                         "the indexes; out-of-order acquisition across "
-                         "workers deadlocks — sort+unique the shard list, "
-                         "then lock ascending");
-              } else {
-                MutexRef family = *ref;
-                family.index = "<loop>";
-                family.key = family.info->key + "[<loop>]";
-                acquire(family, container->depth, t.line,
-                        /*dedup_family=*/true);
-              }
-            } else {
-              acquire(*ref, container->depth, t.line, /*dedup_family=*/false);
-            }
-          }
+          if (auto ref = classify(args[0].first, args[0].second))
+            acquire(*ref, container->depth, t.line);
         }
       }
       continue;

@@ -1,28 +1,25 @@
 // Lock-discipline checker over the simlint tokenizer (DESIGN.md §12).
 //
-// Per function, the checker extracts every lock acquisition — RAII guards
-// (`lock_guard` / `unique_lock` / `shared_lock` / `scoped_lock`, including
-// `std::defer_lock` which acquires nothing) and deferred-container
-// accumulation (`locks.emplace_back(mutex)` into a vector of guards) — and
-// simulates the live set against brace scopes. Acquisitions are checked
-// against the declared lock-order table, which mirrors DESIGN.md §11's
-// locking model for the serving layer:
+// The checker extracts every lock acquisition — RAII guards (`lock_guard` /
+// `unique_lock` / `shared_lock` / `scoped_lock`, including `std::defer_lock`
+// which acquires nothing) and deferred-container accumulation
+// (`locks.emplace_back(mutex)` into a vector of guards) — and simulates the
+// live set against brace scopes. Acquisitions are checked against the
+// declared lock-order table, which mirrors DESIGN.md §11's locking model for
+// the serving layer:
 //
-//   shard_mutexes_[i] < shard_mutexes_[j] (i < j) < inference_mutex_
-//                                                 < Shard::mutex (leaf)
+//   dispatch_mutex_ < inference_mutex_ < index_mutex_ (leaf)
+//                   < telemetry_mutex_ < slot_mutex_ (leaf)
 //
-// Index shard locks are *leaves*: acquiring anything while one is held is an
-// ordering violation. Mutexes the table does not name carry no rank — they
-// are still covered by the double-acquisition and bare-call rules, so the
-// checker runs over the whole tree (src/, tests/, bench/, examples/), not
-// just src/serve.
+// A *leaf* must be the innermost lock held: acquiring anything while one is
+// held is an ordering violation. Mutexes the table does not name carry no
+// rank — they are still covered by the double-acquisition and bare-call
+// rules, so the checker runs over the whole tree (src/, tests/, bench/,
+// examples/), not just src/serve.
 //
 // Rules:
-//   lock-order   rank-descending acquisition, descending literal indexes
-//                within an indexed family, or any acquisition over a leaf
+//   lock-order   rank-descending acquisition, or any acquisition over a leaf
 //   lock-double  the same mutex acquired again while already held
-//   lock-loop    accumulating indexed-family locks in a loop without prior
-//                sort+unique (ascending-order evidence) in the function
 //   bare-lock    .lock()/.unlock()/.try_lock() called directly on a mutex
 //                instead of through an RAII guard
 //
@@ -38,13 +35,11 @@
 
 namespace mlcr::simlint {
 
-/// One row of the declared lock-order table. Lower rank = acquired earlier.
-/// `indexed` rows are mutex families (`name[i]`) whose members must be taken
-/// in ascending index order; a `leaf` must be the innermost lock held.
+/// One row of the declared lock-order table. Lower rank = acquired earlier;
+/// a `leaf` must be the innermost lock held.
 struct MutexRankInfo {
   std::string key;
   int rank = 0;
-  bool indexed = false;
   bool leaf = false;
 };
 
