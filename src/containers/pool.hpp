@@ -117,6 +117,14 @@ class WarmPool {
   /// invalidated by any mutation of the pool.
   [[nodiscard]] std::vector<const Container*> idle_containers() const;
 
+  /// Call `visit(const Container&)` on every idle container, in an order
+  /// callers must not rely on, without allocating. `visit` must not mutate
+  /// the pool.
+  template <typename Visit>
+  void for_each_idle(Visit&& visit) const {
+    for (const auto& entry : by_id_) visit(entry.second);
+  }
+
   /// Evict every container idle since before now - ttl (KeepAlive TTL).
   /// Returns the number evicted.
   std::size_t expire_older_than(double now, double ttl_s);

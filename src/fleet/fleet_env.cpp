@@ -311,7 +311,10 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
   // The event core. One lazily-invalidated heap entry per node holds the
   // node's next self-scheduled event (completion or TTL expiry); entries
   // are stamped with a per-node version and stale ones are discarded on
-  // pop, so a node touch is O(log nodes) instead of a heap rebuild. Fault
+  // pop, so a node touch is O(log nodes) instead of a heap rebuild. A touch
+  // that leaves the node's next event time unchanged keeps its live entry:
+  // entries order by (time, node) alone, so an identical re-push could not
+  // change the pop order. Fault
   // events stay in the pre-sorted fault_events_ list and are merged by
   // time; at equal times faults fire before node advances — the order the
   // lockstep loop establishes (crash()'s internal drain makes same-time
@@ -330,14 +333,18 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
   std::priority_queue<AdvanceEntry, std::vector<AdvanceEntry>, AdvanceLater>
       heap;
   std::vector<std::uint64_t> versions(nodes_.size(), 0);
+  /// Time of each node's live heap entry; nullopt when it has none.
+  std::vector<std::optional<double>> live_at(nodes_.size());
 
   // Re-derive a node's index contribution and heap entry after any event
   // that touches it.
   const auto touch = [&](std::size_t n) {
     index_->update(n, *nodes_[n].env);
+    const std::optional<double> next = nodes_[n].env->next_event_time();
+    if (next == live_at[n]) return;
     ++versions[n];
-    if (const auto next = nodes_[n].env->next_event_time())
-      heap.push({*next, n, versions[n]});
+    live_at[n] = next;
+    if (next) heap.push({*next, n, versions[n]});
   };
   for (std::size_t i = 0; i < nodes_.size(); ++i) touch(i);
 
@@ -373,6 +380,7 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
       } else {
         const AdvanceEntry e = heap.top();
         heap.pop();
+        live_at[e.node].reset();
         // Advance only to the event's own time, never to t: a later fault
         // on the same node must not be jumped over, and advance_to
         // composes, so stopping early is state-identical.

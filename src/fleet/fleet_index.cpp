@@ -1,5 +1,8 @@
 #include "fleet/fleet_index.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/env.hpp"
 #include "util/check.hpp"
 
@@ -7,77 +10,147 @@ namespace mlcr::fleet {
 
 namespace {
 
-/// Match levels in ImageSpec level order: kL1 is the OS prefix, kL2 adds
+/// Prefix depth of a match level: kL1 is the OS list alone, kL2 adds
 /// language, kL3 adds runtime.
-constexpr std::array<containers::MatchLevel, 3> kMatchLevels = {
-    containers::MatchLevel::kL1, containers::MatchLevel::kL2,
-    containers::MatchLevel::kL3};
-
-[[nodiscard]] std::size_t level_index(containers::MatchLevel level) {
+[[nodiscard]] std::size_t level_depth(containers::MatchLevel level) {
   MLCR_CHECK(containers::reusable(level));
-  return static_cast<std::size_t>(level) - 1;
+  return static_cast<std::size_t>(level);
+}
+
+constexpr std::size_t kMaxDepth = 3;
+
+[[nodiscard]] const std::vector<containers::PackageId>& image_list(
+    const containers::ImageSpec& image, std::size_t l) {
+  return image.level(static_cast<containers::Level>(l));
 }
 
 }  // namespace
 
-std::string FleetIndex::level_key(const containers::ImageSpec& image,
-                                  containers::MatchLevel level) {
-  std::string key;
-  for (std::size_t l = 0; l <= level_index(level); ++l) {
-    if (l > 0) key += '|';
-    const auto& packages = image.level(static_cast<containers::Level>(l));
-    for (std::size_t i = 0; i < packages.size(); ++i) {
-      if (i > 0) key += ',';
-      key += std::to_string(packages[i]);
-    }
+std::size_t FleetIndex::PrefixHash::operator()(
+    const PrefixView& v) const noexcept {
+  // Only picks a bucket: PrefixEqual compares the lists themselves.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t h = v.depth;
+  for (std::size_t l = 0; l < v.depth; ++l) {
+    const auto& list = image_list(*v.image, l);
+    h = (h ^ list.size()) * kMul;
+    for (const containers::PackageId p : list) h = (h ^ p) * kMul;
   }
-  return key;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+std::size_t FleetIndex::PrefixHash::operator()(
+    const LevelPrefix& p) const noexcept {
+  return (*this)(PrefixView{&p.image, p.depth});
+}
+
+bool FleetIndex::PrefixEqual::operator()(const PrefixView& v,
+                                         const LevelPrefix& p) const noexcept {
+  if (v.depth != p.depth) return false;
+  for (std::size_t l = 0; l < v.depth; ++l)
+    if (image_list(*v.image, l) != image_list(p.image, l)) return false;
+  return true;
+}
+
+bool FleetIndex::PrefixEqual::operator()(const LevelPrefix& a,
+                                         const LevelPrefix& b) const noexcept {
+  return (*this)(PrefixView{&a.image, a.depth}, b);
+}
+
+FleetIndex::MinTournament::MinTournament(std::size_t leaves)
+    : width_(std::bit_ceil(leaves)), slots_(2 * width_, kIneligible) {}
+
+void FleetIndex::MinTournament::set(std::size_t leaf, std::uint64_t key) {
+  std::size_t slot = width_ + leaf;
+  slots_[slot] = key;
+  // Once a parent keeps its value, every ancestor above it does too.
+  for (slot /= 2; slot >= 1; slot /= 2) {
+    const std::uint64_t m = std::min(slots_[2 * slot], slots_[2 * slot + 1]);
+    if (slots_[slot] == m) break;
+    slots_[slot] = m;
+  }
 }
 
 FleetIndex::FleetIndex(std::size_t nodes, bool track_warm)
-    : track_warm_(track_warm), nodes_(nodes), routable_(nodes) {
+    : track_warm_(track_warm),
+      nodes_(nodes),
+      routable_(nodes),
+      load_all_(nodes),
+      load_healthy_(nodes) {
   MLCR_CHECK(nodes > 0);
+  MLCR_CHECK(nodes < UINT32_MAX);  // packed into a tournament key's low half
+}
+
+void FleetIndex::refresh_load(std::size_t node) {
+  const NodeEntry& entry = nodes_[node];
+  const bool eligible = entry.in_load && entry.routable;
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(entry.busy) << 32) | node;
+  load_all_.set(node, eligible ? key : MinTournament::kIneligible);
+  load_healthy_.set(node,
+                    eligible && entry.up ? key : MinTournament::kIneligible);
+}
+
+FleetIndex::KeyId FleetIndex::intern(const containers::ImageSpec& image,
+                                     std::size_t depth) {
+  const auto it = key_ids_.find(PrefixView{&image, depth});
+  if (it != key_ids_.end()) return it->second;
+  MLCR_CHECK(warm_.size() < UINT32_MAX);
+  LevelPrefix prefix;
+  prefix.depth = depth;
+  for (std::size_t l = 0; l < depth; ++l)
+    prefix.image.set_level(static_cast<containers::Level>(l),
+                           image_list(image, l));
+  const auto id = static_cast<KeyId>(warm_.size());
+  key_ids_.emplace(std::move(prefix), id);
+  warm_.emplace_back();
+  return id;
 }
 
 void FleetIndex::update(std::size_t node, const sim::ClusterEnv& env) {
   MLCR_CHECK(node < nodes_.size());
   NodeEntry& entry = nodes_[node];
-
-  const std::size_t busy = env.busy_count();
-  const bool up = !env.down();
-  if (entry.in_load && entry.routable) {
-    load_all_.erase({entry.busy, node});
-    if (entry.up) load_healthy_.erase({entry.busy, node});
-  }
-  if (entry.routable) {
-    load_all_.insert({busy, node});
-    if (up) load_healthy_.insert({busy, node});
-  }
-  entry.busy = busy;
-  entry.up = up;
+  entry.busy = env.busy_count();
+  MLCR_CHECK(entry.busy < UINT32_MAX);  // the key's high half
+  entry.up = !env.down();
   // A crashed node keeps its last free_mb reading: its pool object survives
   // the crash (emptied, not destroyed), and routers never consult down
   // nodes' memory anyway.
   entry.free_mb = env.pool().free_mb();
   entry.in_load = true;
+  refresh_load(node);
 
   if (!track_warm_) return;
-  std::array<std::map<std::string, std::size_t>, 3> fresh;
-  for (const containers::Container* c : env.pool().idle_containers())
-    for (std::size_t l = 0; l < kMatchLevels.size(); ++l)
-      ++fresh[l][level_key(c->image, kMatchLevels[l])];
-  for (std::size_t l = 0; l < kMatchLevels.size(); ++l) {
-    if (fresh[l] == entry.keys[l]) continue;
-    for (const auto& [key, count] : entry.keys[l]) {
-      auto it = warm_[l].find(key);
-      MLCR_CHECK(it != warm_[l].end());
-      it->second.erase(node);
-      if (it->second.empty()) warm_[l].erase(it);
-      (void)count;
+  fresh_.clear();
+  env.pool().for_each_idle([&](const containers::Container& c) {
+    for (std::size_t depth = 1; depth <= kMaxDepth; ++depth)
+      fresh_.push_back(intern(c.image, depth));
+  });
+  std::sort(fresh_.begin(), fresh_.end());
+  fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+  if (fresh_ == entry.keys) return;
+
+  // Merge the two sorted lists: drop the node from keys it lost, add it to
+  // keys it gained, leave shared keys' node lists untouched.
+  auto old_it = entry.keys.cbegin();
+  auto new_it = fresh_.cbegin();
+  while (old_it != entry.keys.cend() || new_it != fresh_.cend()) {
+    if (new_it == fresh_.cend() ||
+        (old_it != entry.keys.cend() && *old_it < *new_it)) {
+      auto& holders = warm_[*old_it++];
+      const auto pos = std::lower_bound(holders.begin(), holders.end(), node);
+      MLCR_CHECK(pos != holders.end() && *pos == node);
+      holders.erase(pos);
+    } else if (old_it == entry.keys.cend() || *new_it < *old_it) {
+      auto& holders = warm_[*new_it++];
+      holders.insert(std::lower_bound(holders.begin(), holders.end(), node),
+                     node);
+    } else {
+      ++old_it;
+      ++new_it;
     }
-    for (const auto& [key, count] : fresh[l]) warm_[l][key][node] = count;
-    entry.keys[l] = fresh[l];
   }
+  entry.keys.assign(fresh_.cbegin(), fresh_.cend());
 }
 
 void FleetIndex::set_routable(std::size_t node, bool routable) {
@@ -87,25 +160,20 @@ void FleetIndex::set_routable(std::size_t node, bool routable) {
   entry.routable = routable;
   if (routable) ++routable_;
   else --routable_;
-  if (!entry.in_load) return;
-  if (routable) {
-    load_all_.insert({entry.busy, node});
-    if (entry.up) load_healthy_.insert({entry.busy, node});
-  } else {
-    load_all_.erase({entry.busy, node});
-    if (entry.up) load_healthy_.erase({entry.busy, node});
-  }
+  refresh_load(node);
 }
 
 std::size_t FleetIndex::least_outstanding() const {
-  MLCR_CHECK_MSG(!load_all_.empty(),
+  const std::uint64_t best = load_all_.min();
+  MLCR_CHECK_MSG(best != MinTournament::kIneligible,
                  "least_outstanding() before any update()");
-  return load_all_.begin()->second;
+  return static_cast<std::size_t>(best & UINT32_MAX);
 }
 
 std::optional<std::size_t> FleetIndex::least_outstanding_healthy() const {
-  if (load_healthy_.empty()) return std::nullopt;
-  return load_healthy_.begin()->second;
+  const std::uint64_t best = load_healthy_.min();
+  if (best == MinTournament::kIneligible) return std::nullopt;
+  return static_cast<std::size_t>(best & UINT32_MAX);
 }
 
 FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {
@@ -114,13 +182,13 @@ FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {
   return {entry.busy, entry.up, entry.free_mb, entry.in_load, entry.routable};
 }
 
-const std::map<std::size_t, std::size_t>* FleetIndex::nodes_matching(
+const std::vector<std::size_t>* FleetIndex::nodes_matching(
     const containers::ImageSpec& image, containers::MatchLevel level) const {
   MLCR_CHECK_MSG(track_warm_, "warm lookup on a load-only index");
-  const auto& by_key = warm_[level_index(level)];
-  const auto it = by_key.find(level_key(image, level));
-  if (it == by_key.end()) return nullptr;
-  return &it->second;
+  const auto it = key_ids_.find(PrefixView{&image, level_depth(level)});
+  if (it == key_ids_.end()) return nullptr;
+  const std::vector<std::size_t>& holders = warm_[it->second];
+  return holders.empty() ? nullptr : &holders;
 }
 
 }  // namespace mlcr::fleet

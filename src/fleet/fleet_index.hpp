@@ -1,31 +1,34 @@
 // Incrementally maintained fleet-wide routing state (DESIGN.md §10). The
 // event-driven FleetEnv::run keeps one FleetIndex current so routers that
 // need cluster-wide views — least-outstanding load, warm-pool match lookup,
-// the failover scan — read it in O(log nodes) instead of rescanning every
-// node per invocation. The serving plane (src/serve) keeps one too, behind
-// a single shared lock (DESIGN.md §11). The class itself does no locking.
+// the failover scan — read it in O(1) instead of rescanning every node per
+// invocation. The serving plane (src/serve) keeps one too, behind a single
+// shared lock (DESIGN.md §11). The class itself does no locking; every
+// const member is a pure read, safe from many readers at once.
 //
-// Two structures:
-//   Load index  — ordered (busy_count, node) sets over all nodes and over
-//                 healthy nodes only. The minimum element is exactly the
-//                 node a linear "min busy, lowest index on ties" scan would
-//                 pick, so index-based routing is bit-identical to the scan.
-//   Warm index  — per match level ℓ, a map from the canonical byte key of
-//                 an image's level-1..ℓ package lists to the nodes holding
-//                 at least one idle container with that prefix. Package
-//                 lists are kept sorted/deduplicated by ImageSpec, so key
-//                 equality is exactly Table-I level-by-level set equality:
-//                 a container matches a function at level >= ℓ iff their
-//                 level-ℓ keys are byte-equal. No hashing, no collisions.
+// Two structures, neither of which builds a string or walks a tree:
+//   Load minima — two flat min-tournaments (over all routable nodes, and
+//                 over healthy routable nodes) whose leaves hold the packed
+//                 key busy << 32 | node, UINT64_MAX when the node is not
+//                 eligible. The root is exactly the node a linear "min
+//                 busy, lowest index on ties" scan would pick, so
+//                 index-based routing is bit-identical to the scan.
+//   Warm index  — each image's level-1..ℓ package-list prefix is interned,
+//                 on first sight, into a dense KeyId; per KeyId the index
+//                 keeps the ascending list of nodes holding at least one
+//                 idle container with that prefix. Package lists are kept
+//                 sorted/deduplicated by ImageSpec, so prefix equality is
+//                 exactly Table-I level-by-level set equality: a container
+//                 matches a function at level >= ℓ iff their level-ℓ
+//                 prefixes are equal. A hash only picks the bucket; the
+//                 full package lists decide equality, so there are no
+//                 false matches.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <set>
-#include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "containers/image.hpp"
@@ -47,7 +50,8 @@ class FleetIndex {
   /// Re-derive node `node`'s contributions from its environment. Called by
   /// the fleet after every event that touches the node (offer/step,
   /// completion drain, TTL expiry, crash, recover). Cost: O(log nodes) for
-  /// the load sets plus O(pool) for the warm keys when tracking is on.
+  /// the load minima plus O(pool) hash lookups for the warm keys when
+  /// tracking is on. Allocates only when the pool's key set changed.
   void update(std::size_t node, const sim::ClusterEnv& env);
 
   /// Include/exclude node `node` from the load minima. Non-routable nodes
@@ -58,7 +62,8 @@ class FleetIndex {
 
   /// Node with the fewest in-flight executions over all *routable* nodes
   /// (down nodes included), lowest index on ties — the linear-scan contract
-  /// of LeastOutstandingRouter and WarmAwareRouter's cold fallback.
+  /// of LeastOutstandingRouter and WarmAwareRouter's cold fallback. Throws
+  /// when no routable node has been update()d.
   [[nodiscard]] std::size_t least_outstanding() const;
 
   /// Same, restricted to healthy routable nodes; nullopt when the whole
@@ -88,35 +93,81 @@ class FleetIndex {
   }
 
   /// Nodes holding at least one idle container matching `image` at level
-  /// >= `level`, as a node -> container-count map (ascending node order),
-  /// or nullptr when no node has such a match. Requires tracks_warm().
-  [[nodiscard]] const std::map<std::size_t, std::size_t>* nodes_matching(
+  /// >= `level`, in ascending node order, or nullptr when no node has such
+  /// a match. Requires tracks_warm(). Allocation-free.
+  [[nodiscard]] const std::vector<std::size_t>* nodes_matching(
       const containers::ImageSpec& image, containers::MatchLevel level) const;
 
-  /// Canonical byte key of `image`'s level-1..level prefix ("os|lang|rt"
-  /// with comma-separated package ids). Exposed for tests.
-  [[nodiscard]] static std::string level_key(const containers::ImageSpec& image,
-                                            containers::MatchLevel level);
-
  private:
+  using KeyId = std::uint32_t;
+
+  /// An interned level prefix: the first `depth` package lists of an image
+  /// (depth 1 = OS, 2 = + language, 3 = + runtime); deeper levels empty.
+  struct LevelPrefix {
+    containers::ImageSpec image;
+    std::size_t depth = 0;
+  };
+  /// The lookup form of a prefix: borrowed from an image, never copied.
+  struct PrefixView {
+    const containers::ImageSpec* image;
+    std::size_t depth;
+  };
+  struct PrefixHash {
+    using is_transparent = void;
+    [[nodiscard]] std::size_t operator()(const LevelPrefix& p) const noexcept;
+    [[nodiscard]] std::size_t operator()(const PrefixView& v) const noexcept;
+  };
+  struct PrefixEqual {
+    using is_transparent = void;
+    [[nodiscard]] bool operator()(const LevelPrefix& a,
+                                  const LevelPrefix& b) const noexcept;
+    [[nodiscard]] bool operator()(const PrefixView& v,
+                                  const LevelPrefix& p) const noexcept;
+  };
+
+  /// Min-tournament over packed (busy << 32 | node) keys: leaves at
+  /// [width, 2 * width), each inner slot the minimum of its two children,
+  /// the root at slot 1. Setting a leaf fixes one leaf-to-root path.
+  class MinTournament {
+   public:
+    static constexpr std::uint64_t kIneligible = UINT64_MAX;
+    explicit MinTournament(std::size_t leaves);
+    void set(std::size_t leaf, std::uint64_t key);
+    [[nodiscard]] std::uint64_t min() const noexcept { return slots_[1]; }
+
+   private:
+    std::size_t width_;
+    std::vector<std::uint64_t> slots_;
+  };
+
   struct NodeEntry {
     std::size_t busy = 0;
     bool up = true;
     double free_mb = 0.0;
     bool in_load = false;   ///< false until the first update()
-    bool routable = true;   ///< excluded from the load sets when false
-    /// This node's current warm-key multiset, one map per match level.
-    std::array<std::map<std::string, std::size_t>, 3> keys;
+    bool routable = true;   ///< excluded from the load minima when false
+    /// Sorted, unique KeyIds of every prefix (all three depths) held by at
+    /// least one of this node's idle containers.
+    std::vector<KeyId> keys;
   };
+
+  /// Refresh node `node`'s leaves in both tournaments from its entry.
+  void refresh_load(std::size_t node);
+  /// KeyId of `image`'s depth-`depth` prefix, interning it on first sight.
+  KeyId intern(const containers::ImageSpec& image, std::size_t depth);
 
   bool track_warm_;
   std::vector<NodeEntry> nodes_;
   std::size_t routable_;
-  std::set<std::pair<std::size_t, std::size_t>> load_all_;
-  std::set<std::pair<std::size_t, std::size_t>> load_healthy_;
-  /// level -> key -> node -> idle container count.
-  std::array<std::map<std::string, std::map<std::size_t, std::size_t>>, 3>
-      warm_;
+  MinTournament load_all_;
+  MinTournament load_healthy_;
+  /// Prefix -> KeyId. Only ever looked up, never iterated.
+  std::unordered_map<LevelPrefix, KeyId, PrefixHash, PrefixEqual> key_ids_;
+  /// KeyId -> ascending nodes holding that prefix (empty once the last
+  /// holder drops it; interned keys are never forgotten).
+  std::vector<std::vector<std::size_t>> warm_;
+  /// update()'s reusable buffer for a node's fresh key list.
+  std::vector<KeyId> fresh_;
 };
 
 }  // namespace mlcr::fleet

@@ -288,14 +288,13 @@ std::size_t WarmAwareRouter::route(const FleetIndex& index,
         containers::MatchLevel::kL1}) {
     const auto* candidates = index.nodes_matching(fn_image, level);
     if (candidates == nullptr) continue;
-    auto it = candidates->begin();
-    std::size_t best = it->first;
+    std::size_t best = candidates->front();
     FleetIndex::NodeLoad best_load = index.node_load(best);
-    for (++it; it != candidates->end(); ++it) {
-      const FleetIndex::NodeLoad load = index.node_load(it->first);
+    for (const std::size_t node : *candidates) {
+      const FleetIndex::NodeLoad load = index.node_load(node);
       if (load.busy < best_load.busy ||
           (load.busy == best_load.busy && load.free_mb > best_load.free_mb)) {
-        best = it->first;
+        best = node;
         best_load = load;
       }
     }

@@ -2,8 +2,8 @@
 // time-ordered event heap) must reproduce run_lockstep (the per-arrival
 // advance-everyone oracle it replaced) exactly — every summary field, every
 // per-node summary, every merged invocation record — on faultless runs,
-// fault-injected runs with crash windows, and TTL-expiry-heavy workloads,
-// across every standard router (which also cross-checks the FleetIndex fast
+// fault-injected runs with crash windows, TTL-expiry-heavy workloads and an
+// Azure-like long-tail population, across every standard router (which also cross-checks the FleetIndex fast
 // paths against the lockstep loop's linear scans).
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "faults/fault_plan.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/router.hpp"
+#include "fstartbench/azure_like.hpp"
 #include "policies/baselines.hpp"
 #include "testing/fixtures.hpp"
 
@@ -78,16 +79,17 @@ void expect_summaries_identical(const fleet::FleetSummary& a,
 
 /// Run the same (trace, config, router spec) through the event core and the
 /// lockstep oracle on fresh fleets and require identical summaries.
-void expect_event_matches_lockstep(const fstartbench::Benchmark& bench,
+void expect_event_matches_lockstep(const sim::FunctionTable& functions,
+                                   const containers::PackageCatalog& catalog,
                                    const sim::StartupCostModel& cost,
                                    const sim::Trace& trace,
                                    const fleet::FleetConfig& cfg) {
   for (const auto& spec : fleet::standard_routers(/*seed=*/7)) {
     fleet::FleetEnv event_env(
-        bench.functions, bench.catalog, cost, cfg,
+        functions, catalog, cost, cfg,
         fleet::uniform_system(policies::make_greedy_match_system));
     fleet::FleetEnv lockstep_env(
-        bench.functions, bench.catalog, cost, cfg,
+        functions, catalog, cost, cfg,
         fleet::uniform_system(policies::make_greedy_match_system));
     const auto event_router = spec.make();
     const auto lockstep_router = spec.make();
@@ -111,7 +113,8 @@ TEST(FleetEventCore, MatchesLockstepFaultless) {
     cfg.nodes = nodes;
     cfg.node_env.pool_capacity_mb = 2400.0 / static_cast<double>(nodes);
     cfg.seed = 5;
-    expect_event_matches_lockstep(bench, cost, trace, cfg);
+    expect_event_matches_lockstep(bench.functions, bench.catalog, cost, trace,
+                                  cfg);
   }
 }
 
@@ -134,7 +137,8 @@ TEST(FleetEventCore, MatchesLockstepWithFaults) {
       cfg.nodes, trace.span_s(), /*crashes_per_node=*/2.0,
       /*mean_downtime_s=*/40.0, /*max_concurrent_down=*/3, crash_rng);
   ASSERT_FALSE(cfg.faults.crashes.empty());
-  expect_event_matches_lockstep(bench, cost, trace, cfg);
+  expect_event_matches_lockstep(bench.functions, bench.catalog, cost, trace,
+                                  cfg);
 }
 
 /// Sparse arrivals with gaps far beyond the keep-alive TTL force the event
@@ -171,6 +175,50 @@ TEST(FleetEventCore, MatchesLockstepAcrossTtlExpiries) {
                                                          *lockstep_router),
                                spec.name);
   }
+}
+
+/// The FStartBench mix above has 13 function types, so the warm index sees
+/// few distinct keys and rarely drops one. An Azure-like long tail of a few
+/// hundred types on pools tight enough to evict exercises key interning,
+/// key removal and node-list edits at every fleet size, and with a spare
+/// admitted by crashes.
+TEST(FleetEventCore, MatchesLockstepOnALongTailPopulation) {
+  fstartbench::AzureLikeConfig azure_cfg;
+  azure_cfg.num_functions = 300;
+  azure_cfg.window_s = 1800.0;
+  azure_cfg.max_invocations_per_function = 40;
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{11}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto azure =
+        fstartbench::make_azure_like_workload(azure_cfg, util::Rng(seed));
+    const sim::StartupCostModel cost(azure.catalog);
+    for (const std::size_t nodes :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE("nodes " + std::to_string(nodes));
+      fleet::FleetConfig cfg;
+      cfg.nodes = nodes;
+      cfg.node_env.pool_capacity_mb = 500.0;
+      cfg.seed = seed;
+      expect_event_matches_lockstep(azure.functions, azure.catalog, cost,
+                                    azure.trace, cfg);
+    }
+  }
+
+  const auto azure =
+      fstartbench::make_azure_like_workload(azure_cfg, util::Rng(5));
+  const sim::StartupCostModel cost(azure.catalog);
+  fleet::FleetConfig cfg;
+  cfg.nodes = 7;
+  cfg.spare_nodes = 1;
+  cfg.node_env.pool_capacity_mb = 500.0;
+  cfg.seed = 5;
+  util::Rng crash_rng(29);
+  cfg.faults.crashes = faults::sample_crash_windows(
+      cfg.nodes, azure.trace.span_s(), /*crashes_per_node=*/1.0,
+      /*mean_downtime_s=*/120.0, /*max_concurrent_down=*/3, crash_rng);
+  ASSERT_FALSE(cfg.faults.crashes.empty());
+  expect_event_matches_lockstep(azure.functions, azure.catalog, cost,
+                                azure.trace, cfg);
 }
 
 /// set_fault_plan must behave exactly like constructing with the plan in
